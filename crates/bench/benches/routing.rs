@@ -3,8 +3,8 @@
 //! messages per round, many rounds, where the pre-index delivery loop
 //! was quadratic in `k` (see `km_bench::workloads`).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use km_bench::workloads::{dense_delivery_reference, sparse_ring_machines};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use km_bench::workloads::sparse_ring_machines;
 use km_core::router::UniformScatter;
 use km_core::{EngineKind, NetConfig, Runner};
 
@@ -45,9 +45,9 @@ fn bench_engines(c: &mut Criterion) {
 }
 
 /// Sparse long-tail delivery: 8 tokens circle a ring for 400 rounds, so
-/// 8 of the k² ordered links are active per round. `engine/*` is the
-/// sparse fast path; `dense_reference/*` replays the same traffic
-/// through the pre-index O(k²)-per-round scan for comparison.
+/// 8 of the k² ordered links are active per round. The pre-index dense
+/// scan's cost on this traffic is archived as `sparse_fast_path` in
+/// `BENCH_2026-07-29.json`.
 fn bench_sparse_delivery(c: &mut Criterion) {
     let mut group = c.benchmark_group("sparse");
     group.sample_size(10);
@@ -62,9 +62,6 @@ fn bench_sparse_delivery(c: &mut Criterion) {
                     .run(sparse_ring_machines(k, tokens, hops))
                     .unwrap()
             })
-        });
-        group.bench_with_input(BenchmarkId::new("dense_reference", k), &k, |b, &k| {
-            b.iter(|| black_box(dense_delivery_reference(k, tokens, hops, 64)))
         });
     }
     group.finish();

@@ -19,10 +19,21 @@
 //! that `EngineKind::Auto` resolution honors.
 //!
 //! Tables are printed to stdout and archived as JSON under `results/`.
+//! A malformed argument prints the usage line to stderr and exits with
+//! code 2.
 
 use km_bench::exp;
 use km_core::{runner::ENGINE_ENV, EngineKind};
 use std::time::Instant;
+
+const USAGE: &str =
+    "usage: experiments [--list] [--stream] [--seed <u64>] [--engine {seq,par,dist,auto}] [ID...]";
+
+/// Reports a command-line error with the usage line and exits with 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("experiments: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,13 +50,17 @@ fn main() {
                 seed = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
+                    .unwrap_or_else(|| usage_error("--seed needs an unsigned integer"));
             }
             "--engine" => {
                 i += 1;
-                let name = args.get(i).expect("--engine needs {seq,par,dist,auto}");
+                let name = args
+                    .get(i)
+                    .unwrap_or_else(|| usage_error("--engine needs {seq,par,dist,auto}"));
                 let kind = EngineKind::parse(name).unwrap_or_else(|| {
-                    panic!("unknown engine `{name}`; try seq, par, dist, or auto")
+                    usage_error(&format!(
+                        "unknown engine `{name}`; try seq, par, dist, or auto"
+                    ))
                 });
                 // Every experiment runs through Runner's Auto resolution,
                 // which reads this variable — one switch flips them all.

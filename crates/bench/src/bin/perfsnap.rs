@@ -1,8 +1,8 @@
 //! `perfsnap` — one-command performance snapshot for the perf trajectory.
 //!
 //! Runs a fixed workload matrix (Lemma-13 scatter, Borůvka MST, triangle
-//! enumeration at k ∈ {16, 64, 128}) plus the sparse long-tail delivery
-//! comparison at k = 256 and the fused `DistGraphBuilder` build-time
+//! enumeration at k ∈ {16, 64, 128}) plus the sparse long-tail ring at
+//! k = 256 and the fused `DistGraphBuilder` build-time
 //! matrix at n ∈ {10k, 100k}, k ∈ {16, 128}, and writes wall-time +
 //! rounds + bits to `BENCH_<date>.json` (or the path given as the first
 //! argument) so each PR can commit a comparable snapshot.
@@ -33,7 +33,7 @@
 //! wire smoke, which also asserts `header_bits < logical_bits` on the
 //! scatter rows.
 
-use km_bench::workloads::{dense_delivery_reference, sparse_ring_machines};
+use km_bench::workloads::sparse_ring_machines;
 use km_core::router::UniformScatter;
 use km_core::{EngineKind, Metrics, NetConfig, Runner};
 use km_graph::dist::replicated_scan_reference;
@@ -80,20 +80,6 @@ struct Cell {
     link_visits: u64,
 }
 
-/// The sparse fast-path headline: new engine vs the preserved pre-index
-/// dense delivery loop on identical traffic.
-#[derive(Serialize)]
-struct SparseComparison {
-    k: usize,
-    tokens: usize,
-    hops: u64,
-    bandwidth_bits: u64,
-    engine_wall_ms: f64,
-    dense_reference_wall_ms: f64,
-    speedup: f64,
-    note: String,
-}
-
 /// One cell of the `DistGraphBuilder` build-time matrix: the fused
 /// single-pass build vs the preserved replicated per-machine scan.
 #[derive(Serialize)]
@@ -111,7 +97,6 @@ struct Snapshot {
     date: String,
     host_threads: usize,
     workloads: Vec<Cell>,
-    sparse_fast_path: SparseComparison,
     dist_build: Vec<DistBuildCell>,
 }
 
@@ -590,34 +575,19 @@ fn main() {
         println!("triangles      k={k:<4} {ms:>10.3} ms");
     }
 
-    // Sparse long-tail headline: 8 tokens × 400 hops on a k = 256 ring.
-    let (k, tokens, hops, budget) = (256usize, 8usize, 400u64, 64u64);
-    let cfg = NetConfig::with_bandwidth(k, budget, 7).max_rounds(1_000_000);
-    let (engine_ms, _) = best_ms(5, || {
+    // Sparse long-tail ring: 8 tokens × 400 hops on a k = 256 ring, so
+    // 8 of the k² links are active per round.
+    let (k, tokens, hops) = (256usize, 8usize, 400u64);
+    let cfg = NetConfig::with_bandwidth(k, 64, 7).max_rounds(1_000_000);
+    let kind = EngineKind::Sequential;
+    let (ms, report) = best_ms(5, || {
         Runner::new(cfg)
-            .engine(EngineKind::Sequential)
+            .engine(kind)
             .run(sparse_ring_machines(k, tokens, hops))
             .unwrap()
     });
-    let (dense_ms, _) = best_ms(3, || dense_delivery_reference(k, tokens, hops, budget));
-    let sparse = SparseComparison {
-        k,
-        tokens,
-        hops,
-        bandwidth_bits: budget,
-        engine_wall_ms: engine_ms,
-        dense_reference_wall_ms: dense_ms,
-        speedup: dense_ms / engine_ms,
-        note: "dense_reference replays the pre-active-index delivery loop (k^2 link scan \
-               per round) on identical traffic; it is delivery-only, so the true \
-               engine-vs-engine speedup is at least this ratio"
-            .to_string(),
-    };
-    println!(
-        "sparse k=256: engine {engine_ms:.3} ms vs dense reference {dense_ms:.3} ms \
-         => {:.1}x",
-        sparse.speedup
-    );
+    workloads.push(cell("sparse_ring_t8_h400", k, 5, ms, kind, &report.metrics));
+    println!("sparse ring    k={k:<4} {ms:>10.3} ms");
 
     // Fused DistGraphBuilder build vs the replicated per-machine scan.
     let mut dist_build = Vec::new();
@@ -707,7 +677,6 @@ fn main() {
         date: date.clone(),
         host_threads,
         workloads,
-        sparse_fast_path: sparse,
         dist_build,
     };
     let json = serde_json::to_string_pretty(&snap).expect("serialize snapshot");

@@ -7,15 +7,7 @@
 //! `k²` link scan to move a few messages — and it is the shape most of
 //! the paper's algorithms settle into after their bulk phases
 //! (coordinator funnels, convergecast tails, token trickles).
-//!
-//! [`dense_delivery_reference`] preserves the pre-index delivery loop
-//! (scan every ordered pair each round, re-deriving `WireSize::bits` on
-//! delivery) as a measurable artifact, so `perfsnap` can keep reporting
-//! the sparse-vs-dense ratio on every host long after the old engine
-//! code is gone.
 
-use km_core::link::Link;
-use km_core::message::WireSize;
 use km_core::{Envelope, Outbox, Protocol, RoundCtx, Status};
 
 /// A machine on a directed ring: tokens hop to `(me + 1) % k` each
@@ -71,89 +63,33 @@ pub fn sparse_ring_machines(k: usize, tokens: usize, hops: u64) -> Vec<SparseRin
         .collect()
 }
 
-/// Replays the sparse ring workload through the **pre-PR dense delivery
-/// loop**: every round scans all `k·(k−1)` ordered links (almost all
-/// empty) and recomputes message bits on delivery, exactly as
-/// `Network::deliver` did before the active-link index. Returns the
-/// number of token hops delivered, as an optimization barrier.
-///
-/// This is a cost model of the old *delivery phase only* — no protocol
-/// or RNG overhead — so timing it against a full engine run of the same
-/// workload understates, not overstates, the speedup.
-pub fn dense_delivery_reference(k: usize, tokens: usize, hops: u64, budget: u64) -> u64 {
-    assert!(k >= 2, "a ring needs at least two machines");
-    let mut links: Vec<Link<u64>> = Vec::with_capacity(k * k);
-    links.resize_with(k * k, Link::default);
-    let mut inboxes: Vec<Vec<Envelope<u64>>> = (0..k).map(|_| Vec::new()).collect();
-    for src in 0..tokens.min(k) {
-        links[src * k + (src + 1) % k].push(Envelope { src, msg: hops });
-    }
-    let mut delivered = 0u64;
-    loop {
-        // The dense scan the active-link index eliminated: all k² pairs.
-        let mut any = false;
-        for dst in 0..k {
-            for src in 0..k {
-                if src == dst {
-                    continue;
-                }
-                let before = inboxes[dst].len();
-                if links[src * k + dst]
-                    .deliver(budget, &mut inboxes[dst])
-                    .bits_used
-                    > 0
-                {
-                    any = true;
-                }
-                // Pre-index recv accounting re-called WireSize::bits here.
-                let bits: u64 = inboxes[dst][before..]
-                    .iter()
-                    .map(|e| e.msg.bits().max(1))
-                    .sum();
-                std::hint::black_box(bits);
-            }
-        }
-        if !any {
-            break;
-        }
-        // Forward surviving tokens one hop (the protocol stand-in).
-        for me in 0..k {
-            while let Some(env) = inboxes[me].pop() {
-                delivered += 1;
-                if env.msg > 1 {
-                    links[me * k + (me + 1) % k].push(Envelope {
-                        src: me,
-                        msg: env.msg - 1,
-                    });
-                }
-            }
-        }
-    }
-    delivered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use km_core::{EngineKind, NetConfig, Runner};
 
+    /// The sparse-delivery gate: every token crosses `hops` links
+    /// exactly once, and the delivery walk visits exactly the `tokens`
+    /// active links per round — never the other `k²`. Exact on every
+    /// engine.
     #[test]
-    fn ring_and_dense_reference_agree_on_traffic() {
+    fn ring_traffic_is_exact_on_every_engine() {
         let (k, tokens, hops) = (12, 3, 20u64);
         let cfg = NetConfig::with_bandwidth(k, 64, 1).max_rounds(10_000);
-        let report = Runner::new(cfg)
-            .engine(EngineKind::Sequential)
-            .run(sparse_ring_machines(k, tokens, hops))
-            .unwrap();
-        // Every token crosses `hops` links exactly once.
-        assert_eq!(report.metrics.total_msgs(), tokens as u64 * hops);
-        assert_eq!(report.metrics.rounds, hops);
-        // The engine's sparse path visits `tokens` links per round...
-        assert_eq!(report.metrics.link_visits, tokens as u64 * hops);
-        // ...and the dense reference moves the same messages.
-        assert_eq!(
-            dense_delivery_reference(k, tokens, hops, 64),
-            tokens as u64 * hops
-        );
+        let engines = [
+            EngineKind::Sequential,
+            EngineKind::Parallel { threads: 2 },
+            EngineKind::Distributed,
+        ];
+        for engine in engines {
+            let m = Runner::new(cfg)
+                .engine(engine)
+                .run(sparse_ring_machines(k, tokens, hops))
+                .unwrap()
+                .metrics;
+            assert_eq!(m.rounds, hops, "{engine:?}");
+            assert_eq!(m.total_msgs(), tokens as u64 * hops, "{engine:?}");
+            assert_eq!(m.link_visits, tokens as u64 * hops, "{engine:?}");
+        }
     }
 }

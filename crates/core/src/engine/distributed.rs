@@ -9,12 +9,12 @@
 //! checksummed, sequence-numbered batch frame, pushed through that
 //! ordered pair's bounded byte channel, and decoded on receipt —
 //! zero-copy, each message through a borrowed sub-reader over the
-//! frame buffer — into the destination's per-source FIFO [`Link`], the
-//! same bandwidth-limited structure the other engines use, before the
-//! per-round budget releases it. Batching amortizes the 21-byte
-//! self-healing header over every message a (link, round) pair
-//! carries; a [`WireReport`] records what the frames measured against
-//! the logical [`WireSize`] bits.
+//! frame buffer — into the destination's per-source FIFO
+//! [`crate::link::Link`], the same bandwidth-limited structure the
+//! other engines use, before the per-round budget releases it.
+//! Batching amortizes the 21-byte self-healing header over every
+//! message a (link, round) pair carries; a [`WireReport`] records what
+//! the frames measured against the logical [`WireSize`] bits.
 //!
 //! # Round anatomy (coordinator barriers)
 //!
@@ -31,15 +31,15 @@
 //!    many batch frames it is owed per source.
 //! 3. Each worker drains its incoming channels until every owed frame
 //!    has been absorbed (see the failure model below for how loss is
-//!    repaired), then runs the same sorted active-source,
-//!    budget-limited delivery walk as the in-process engines'
-//!    `Network::deliver` (its slice of it, preserving the
-//!    sparse-delivery invariant: only links with queued traffic are
-//!    visited, counted in [`crate::Metrics::link_visits`]), and
-//!    reports its status and local queue depths.
-//! 4. The coordinator aggregates: quiescence and the round limit are
-//!    checked exactly as in the sequential engine, so error cases are
-//!    bit-identical too.
+//!    repaired), then runs the shared delivery walk on its own
+//!    `Inlinks` (the per-destination state that the in-process
+//!    engines keep one of per machine in `engine/mod.rs`; only links
+//!    with queued traffic are visited, counted in
+//!    [`crate::Metrics::link_visits`]), and reports its status and
+//!    local queue depths.
+//! 4. The coordinator aggregates and ticks the same round clock
+//!    (`Clock::tick`) as the in-process engines, so quiescence and the
+//!    round limit — error payloads included — are bit-identical too.
 //!
 //! Bounded channels mean a sender can hit a full link mid-round; the
 //! overflow waits in a local per-destination queue that every blocked
@@ -104,9 +104,9 @@ use crate::codec::{
     FrameView, WireCodec, FRAME_HEADER_BYTES, FRAME_KIND_BATCH, FRAME_KIND_NACK,
 };
 use crate::config::NetConfig;
+use crate::engine::{check_machines, Clock, Inlinks};
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
-use crate::link::Link;
 use crate::message::{Envelope, Outbox, WireSize};
 use crate::metrics::{Metrics, RunReport, WireReport};
 use crate::protocol::{Protocol, RoundCtx, Status};
@@ -195,27 +195,22 @@ struct RoundDone {
     status: Status,
     /// Whether any of this worker's incoming links moved ≥ 1 bit.
     any_link_bits: bool,
-    /// Messages queued locally (links + self-queue) after delivery.
-    queued_msgs: usize,
-    /// Undelivered link bits queued locally after delivery.
-    queued_bits: u64,
+    /// `(messages, undelivered link bits)` queued locally after delivery.
+    queued: (usize, u64),
     inbox_empty: bool,
 }
 
 /// Everything a worker accumulated, shipped back on `Finish`.
-struct FinalState<P> {
+struct FinalState<P: Protocol> {
     proto: P,
     sent_msgs: u64,
     sent_bits: u64,
-    recv_msgs: u64,
-    recv_bits: u64,
-    link_visits: u64,
-    /// `(messages, bits)` totals per incoming link, indexed by source.
-    link_totals: Vec<(u64, u64)>,
+    /// The worker's incoming side, folded into the receive metrics.
+    inl: Inlinks<P::Msg>,
     wire: WireCounters,
 }
 
-enum Resp<P> {
+enum Resp<P: Protocol> {
     /// Round compute + staging done; cumulative frames staged per
     /// destination (the coordinator transposes these into `Deliver`).
     Sent {
@@ -243,102 +238,6 @@ struct WireCounters {
     retransmit_bytes: u64,
     nack_frames: u64,
     nack_bytes: u64,
-}
-
-/// Machine `i`'s slice of the network: its incoming links, self-queue,
-/// and active-source index — the per-destination state
-/// [`super::Network`] keeps centrally, kept here by the owning worker.
-struct Inlinks<M> {
-    me: MachineIdx,
-    /// Incoming links indexed by source (`links[me]` unused).
-    links: Vec<Link<M>>,
-    /// Decoded-free self-sends waiting for this round's delivery.
-    self_queue: Vec<Envelope<M>>,
-    /// Sorted sources with queued traffic (contains `me` iff the
-    /// self-queue is non-empty) — the sparse-delivery index.
-    active: Vec<MachineIdx>,
-    queued_msgs: usize,
-    queued_bits: u64,
-    recv_msgs: u64,
-    recv_bits: u64,
-    link_visits: u64,
-}
-
-impl<M: WireSize> Inlinks<M> {
-    fn new(k: usize, me: MachineIdx) -> Self {
-        let mut links = Vec::with_capacity(k);
-        links.resize_with(k, Link::default);
-        Inlinks {
-            me,
-            links,
-            self_queue: Vec::new(),
-            active: Vec::new(),
-            queued_msgs: 0,
-            queued_bits: 0,
-            recv_msgs: 0,
-            recv_bits: 0,
-            link_visits: 0,
-        }
-    }
-
-    fn activate(&mut self, src: MachineIdx) {
-        let pos = self
-            .active
-            .binary_search(&src)
-            // lint: allow(panic) — data-structure invariant: callers only activate a source whose queue was empty
-            .expect_err("activated twice without draining");
-        self.active.insert(pos, src);
-    }
-
-    /// A self-send: free, no serialization, delivered this round.
-    fn stage_self(&mut self, msg: M) {
-        self.queued_msgs += 1;
-        if self.self_queue.is_empty() {
-            self.activate(self.me);
-        }
-        self.self_queue.push(Envelope { src: self.me, msg });
-    }
-
-    /// A decoded frame from `src` enters that link's FIFO. `bits` is
-    /// the logical size from the frame header; `push_sized` cross-checks
-    /// it against the decoded message's own claim in debug builds.
-    fn absorb(&mut self, src: MachineIdx, msg: M, bits: u64) {
-        if self.links[src].is_empty() {
-            self.activate(src);
-        }
-        self.links[src].push_sized(Envelope { src, msg }, bits);
-        self.queued_msgs += 1;
-        self.queued_bits += bits;
-    }
-
-    /// This machine's slice of [`super::Network::deliver`]: walk the
-    /// sorted active sources, release up to `budget` bits per link,
-    /// account received sizes from the staged (header) sizes. Returns
-    /// whether any link moved bits.
-    fn deliver(&mut self, budget: u64, inbox: &mut Vec<Envelope<M>>) -> bool {
-        let mut any = false;
-        let mut sources = std::mem::take(&mut self.active);
-        sources.retain(|&src| {
-            if src == self.me {
-                self.queued_msgs -= self.self_queue.len();
-                inbox.append(&mut self.self_queue);
-                return false; // self-queues always drain fully
-            }
-            self.link_visits += 1;
-            let link = &mut self.links[src];
-            let d = link.deliver(budget, inbox);
-            if d.bits_used > 0 {
-                any = true;
-            }
-            self.recv_msgs += d.msgs;
-            self.recv_bits += d.msg_bits;
-            self.queued_msgs -= d.msgs as usize;
-            self.queued_bits -= d.msg_bits;
-            !link.is_empty()
-        });
-        self.active = sources;
-        any
-    }
 }
 
 /// The sending half of a worker's wire: outgoing channels, per-link
@@ -591,7 +490,7 @@ impl Inwire {
 /// loudly.
 fn absorb_frame<M: WireCodec>(view: &FrameView<'_>, src: MachineIdx, inl: &mut Inlinks<M>) {
     if view.kind == FRAME_KIND_BATCH {
-        decode_batch::<M>(view, |msg, bits| inl.absorb(src, msg, bits)).unwrap_or_else(|e| {
+        decode_batch::<M>(view, |msg, bits| inl.push(src, msg, bits)).unwrap_or_else(|e| {
             // lint: allow(panic) — a CRC-valid frame that fails to decode is a codec bug, not a wire fault; fail loudly
             panic!(
                 "machine {}: undecodable batch frame from machine {src}: {e}",
@@ -606,7 +505,7 @@ fn absorb_frame<M: WireCodec>(view: &FrameView<'_>, src: MachineIdx, inl: &mut I
                 inl.me
             )
         });
-        inl.absorb(src, msg, view.bits);
+        inl.push(src, msg, view.bits);
     }
 }
 
@@ -719,16 +618,7 @@ impl DistributedEngine {
         P: Protocol,
         P::Msg: WireCodec,
     {
-        config.validate()?;
-        if machines.len() != config.k {
-            return Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "one protocol instance per machine: got {} for k = {}",
-                    machines.len(),
-                    config.k
-                ),
-            });
-        }
+        check_machines(&config, machines.len())?;
         let plan = faults.unwrap_or_default();
         if let Some(crash) = plan.crash {
             if crash.machine >= config.k {
@@ -808,79 +698,55 @@ impl DistributedEngine {
                 });
             }
 
-            // Coordinator: same control flow, quiescence test, and
-            // round-limit ordering as the sequential engine's loop —
-            // plus barrier timeouts and typed failure propagation.
+            // Coordinator: the in-process engines' round clock, plus
+            // barrier timeouts and typed failure propagation.
             let mut statuses = vec![Status::Active; k];
             let mut counts: Vec<Box<[u32]>> = vec![vec![0u32; k].into_boxed_slice(); k];
-            let mut iterations: u64 = 0;
-            let mut comm_rounds: u64 = 0;
-            let result: Result<(), EngineError> = loop {
-                let mut phase = || -> Result<bool, EngineError> {
-                    for (i, tx) in cmd_txs.iter().enumerate() {
-                        if tx.send(Cmd::Round { round: iterations }).is_err() {
-                            return Err(worker_gone(&resp_rxs, i));
+            let mut clock = Clock::default();
+            let mut phase = || -> Result<bool, EngineError> {
+                let round = clock.round;
+                for (i, tx) in cmd_txs.iter().enumerate() {
+                    if tx.send(Cmd::Round { round }).is_err() {
+                        return Err(worker_gone(&resp_rxs, i));
+                    }
+                }
+                for (i, slot) in counts.iter_mut().enumerate() {
+                    match await_resp(&resp_rxs, i, barrier, round)? {
+                        Resp::Sent {
+                            counts: sent_counts,
+                        } => *slot = sent_counts,
+                        // lint: allow(panic) — worker protocol invariant: Cmd::Round is always answered by Resp::Sent
+                        _ => unreachable!("Round is answered by Sent first"),
+                    }
+                }
+                for (i, tx) in cmd_txs.iter().enumerate() {
+                    let expected: Box<[u32]> = (0..k).map(|src| counts[src][i]).collect();
+                    if tx.send(Cmd::Deliver { expected }).is_err() {
+                        return Err(worker_gone(&resp_rxs, i));
+                    }
+                }
+                let mut any = false;
+                let mut queued = (0usize, 0u64);
+                let mut inboxes_empty = true;
+                for (i, status) in statuses.iter_mut().enumerate() {
+                    match await_resp(&resp_rxs, i, barrier, round)? {
+                        Resp::Round(r) => {
+                            *status = r.status;
+                            any |= r.any_link_bits;
+                            queued.0 += r.queued.0;
+                            queued.1 += r.queued.1;
+                            inboxes_empty &= r.inbox_empty;
                         }
+                        // lint: allow(panic) — worker protocol invariant: Cmd::Deliver is always answered by Resp::Round
+                        _ => unreachable!("Deliver is answered by Round"),
                     }
-                    for (i, slot) in counts.iter_mut().enumerate() {
-                        match await_resp(&resp_rxs, i, barrier, iterations)? {
-                            Resp::Sent {
-                                counts: sent_counts,
-                            } => *slot = sent_counts,
-                            // lint: allow(panic) — worker protocol invariant: Cmd::Round is always answered by Resp::Sent
-                            _ => unreachable!("Round is answered by Sent first"),
-                        }
-                    }
-                    for (i, tx) in cmd_txs.iter().enumerate() {
-                        let expected: Box<[u32]> = (0..k).map(|src| counts[src][i]).collect();
-                        if tx.send(Cmd::Deliver { expected }).is_err() {
-                            return Err(worker_gone(&resp_rxs, i));
-                        }
-                    }
-                    let mut any = false;
-                    let mut queued_msgs = 0usize;
-                    let mut queued_bits = 0u64;
-                    let mut inboxes_empty = true;
-                    for (i, status) in statuses.iter_mut().enumerate() {
-                        match await_resp(&resp_rxs, i, barrier, iterations)? {
-                            Resp::Round(r) => {
-                                *status = r.status;
-                                any |= r.any_link_bits;
-                                queued_msgs += r.queued_msgs;
-                                queued_bits += r.queued_bits;
-                                inboxes_empty &= r.inbox_empty;
-                            }
-                            // lint: allow(panic) — worker protocol invariant: Cmd::Deliver is always answered by Resp::Round
-                            _ => unreachable!("Deliver is answered by Round"),
-                        }
-                    }
-                    if any {
-                        comm_rounds += 1;
-                    }
-                    iterations += 1;
-                    if statuses.iter().all(|s| *s == Status::Done)
-                        && queued_msgs == 0
-                        && inboxes_empty
-                    {
-                        return Ok(true);
-                    }
-                    if iterations >= config.max_rounds {
-                        return Err(EngineError::RoundLimitExceeded {
-                            limit: config.max_rounds,
-                            active_machines: statuses
-                                .iter()
-                                .filter(|s| **s == Status::Active)
-                                .count(),
-                            queued_msgs,
-                            queued_bits,
-                        });
-                    }
-                    Ok(false)
-                };
+                }
+                clock.tick(&config, &statuses, any, inboxes_empty, queued)
+            };
+            let result = loop {
                 match phase() {
-                    Ok(true) => break Ok(()),
                     Ok(false) => {}
-                    Err(e) => break Err(e),
+                    done => break done.map(drop),
                 }
             };
 
@@ -894,13 +760,13 @@ impl DistributedEngine {
                     }
                 }
                 for i in 0..k {
-                    match await_resp(&resp_rxs, i, barrier, iterations)? {
+                    match await_resp(&resp_rxs, i, barrier, clock.round)? {
                         Resp::Final(f) => finals.push(*f),
                         // lint: allow(panic) — worker protocol invariant: Cmd::Finish is always answered by Resp::Final
                         _ => unreachable!("Finish yields Final"),
                     }
                 }
-                Ok(assemble(k, comm_rounds, finals))
+                Ok(assemble(k, clock.comm_rounds, finals))
             });
             if result.is_err() {
                 // Graceful teardown: every surviving worker (including
@@ -934,7 +800,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// other response channels are swept for a `Panicked` report first, so
 /// a machine that hangs *because a peer died* blames the culprit, not
 /// the victim.
-fn await_resp<P>(
+fn await_resp<P: Protocol>(
     resp_rxs: &[Receiver<Resp<P>>],
     i: usize,
     barrier: Duration,
@@ -965,7 +831,7 @@ fn await_resp<P>(
 
 /// Types the failure of a worker whose thread is already gone: prefer
 /// its own panic report if one is queued, otherwise a placeholder.
-fn worker_gone<P>(resp_rxs: &[Receiver<Resp<P>>], i: usize) -> EngineError {
+fn worker_gone<P: Protocol>(resp_rxs: &[Receiver<Resp<P>>], i: usize) -> EngineError {
     if let Ok(Resp::Panicked { message }) = resp_rxs[i].try_recv() {
         return EngineError::WorkerPanicked {
             machine: i,
@@ -978,9 +844,9 @@ fn worker_gone<P>(resp_rxs: &[Receiver<Resp<P>>], i: usize) -> EngineError {
     }
 }
 
-/// Merges the per-worker slices into the run report; field-for-field
-/// the same aggregation the central `Network` performs.
-fn assemble<P>(k: usize, comm_rounds: u64, finals: Vec<FinalState<P>>) -> RunReport<P> {
+/// Merges the per-worker slices into the run report; the receive side
+/// goes through the same `Inlinks` fold as the in-process `Network`.
+fn assemble<P: Protocol>(k: usize, comm_rounds: u64, finals: Vec<FinalState<P>>) -> RunReport<P> {
     let mut metrics = Metrics::new(k);
     metrics.rounds = comm_rounds;
     let mut wire = WireReport::default();
@@ -988,16 +854,7 @@ fn assemble<P>(k: usize, comm_rounds: u64, finals: Vec<FinalState<P>>) -> RunRep
     for (i, f) in finals.into_iter().enumerate() {
         metrics.sent_msgs[i] = f.sent_msgs;
         metrics.sent_bits[i] = f.sent_bits;
-        metrics.recv_msgs[i] = f.recv_msgs;
-        metrics.recv_bits[i] = f.recv_bits;
-        metrics.link_visits += f.link_visits;
-        metrics.max_link_bits = metrics.max_link_bits.max(
-            f.link_totals
-                .iter()
-                .map(|&(_, bits)| bits)
-                .max()
-                .unwrap_or(0),
-        );
+        f.inl.fold_into(&mut metrics);
         wire.frames += f.wire.frames;
         wire.messages += f.wire.messages;
         wire.frame_bytes += f.wire.frame_bytes;
@@ -1100,11 +957,12 @@ fn run_worker<P>(
                 inbox.clear();
                 for (dst, msg) in outbox.drain() {
                     if dst == me {
-                        inl.stage_self(msg);
+                        inl.push_self(msg);
                         continue;
                     }
                     // Sender-side accounting uses the logical size, as
-                    // at `Network::stage`; the frame is the real bytes.
+                    // the in-process engines' staging does; the frame is
+                    // the real bytes.
                     sent_msgs += 1;
                     sent_bits += msg.bits().max(1);
                     staged[dst].push(msg);
@@ -1194,8 +1052,7 @@ fn run_worker<P>(
                     .send(Resp::Round(RoundDone {
                         status,
                         any_link_bits,
-                        queued_msgs: inl.queued_msgs,
-                        queued_bits: inl.queued_bits,
+                        queued: inl.queued(),
                         inbox_empty: inbox.is_empty(),
                     }))
                     .is_err()
@@ -1213,10 +1070,7 @@ fn run_worker<P>(
         proto,
         sent_msgs,
         sent_bits,
-        recv_msgs: inl.recv_msgs,
-        recv_bits: inl.recv_bits,
-        link_visits: inl.link_visits,
-        link_totals: inl.links.iter().map(Link::totals).collect(),
+        inl,
         wire: out.counters,
     })));
 }

@@ -20,32 +20,44 @@
 //! transcript-identical (tested in `tests/engine_equivalence.rs` and the
 //! cross-engine fuzz matrix in `tests/engine_fuzz.rs`).
 //!
+//! # The shared round core
+//!
+//! This module holds steps 2–4 once, and every engine calls it:
+//!
+//! * `Inlinks` is one destination's incoming side: its links indexed by
+//!   source, its self-queue, the sorted active-source index, and the
+//!   delivery walk (step 3). The in-process engines keep one per machine
+//!   in `Network`; each distributed worker owns its own.
+//! * `Inlinks::fold_into` fills the receive side of [`crate::Metrics`]
+//!   (`recv_msgs`, `recv_bits`, `link_visits`, `max_link_bits`) for every
+//!   engine.
+//! * `run_rounds` is the master loop of the sequential and parallel
+//!   engines; they differ only in the `step` that runs step 1.
+//! * `Clock::tick` counts rounds and decides quiescence or the round
+//!   limit (step 4) for all three engines, so error payloads agree too.
+//! * `check_machines` validates the config and the machine count.
+//!
 //! # Sparse delivery
 //!
 //! The paper's algorithms spend most rounds with traffic on a small
-//! fraction of the `k²` ordered links, so the delivery core is built to
-//! cost **O(active traffic) per round, not O(k²)**:
+//! fraction of the `k²` ordered links, so a round costs **O(k + active
+//! links), not O(k²)**: every destination's inbox is cleared and its
+//! index checked, but only links with queued traffic are walked.
 //!
-//! * `Network` keeps, per destination, a sorted *active-source index* —
-//!   the sources (including the destination itself, for pending
-//!   self-sends) with queued traffic. `Network::stage` inserts a source
-//!   exactly when its link transitions empty → non-empty, and
-//!   `Network::deliver` removes it when the link drains; a link with no
-//!   queued traffic is never visited (every visit increments
-//!   [`crate::Metrics::link_visits`], the observable this invariant is
-//!   unit-tested against).
-//! * Running `queued_msgs` / `queued_bits` counters — incremented at
-//!   staging, decremented at delivery — make `Network::is_drained` and
-//!   `Network::queued` O(1) instead of `k²` scans; the per-round
-//!   quiescence check does no per-link work at all.
+//! * The active-source index lists the sources (including the
+//!   destination itself, for pending self-sends) with queued traffic. A
+//!   push inserts a source exactly when its queue goes empty →
+//!   non-empty, and the walk drops it when the queue drains; every link
+//!   visit increments [`crate::Metrics::link_visits`], the observable
+//!   this invariant is unit-tested against.
 //! * Delivery-side accounting reuses the wire sizes cached in each
 //!   [`Link`] at staging time ([`crate::link::Delivery`]), so
 //!   [`crate::message::WireSize::bits`] runs exactly once per message.
 //!
-//! Ordering is unchanged from the dense loop: each destination's active
-//! sources are walked in increasing machine order (the index is kept
-//! sorted), so inboxes — and therefore transcripts, metrics, and RNG
-//! streams — are bit-for-bit identical to the pre-index engine.
+//! Each destination's active sources are walked in increasing machine
+//! order (the index is kept sorted), so inboxes — and therefore
+//! transcripts, metrics, and RNG streams — are bit-for-bit identical to
+//! a dense scan of all `k²` links.
 
 pub mod distributed;
 pub mod parallel;
@@ -56,157 +68,262 @@ pub use distributed::DistributedEngine;
 pub use parallel::ParallelEngine;
 pub use sequential::SequentialEngine;
 
+use crate::config::NetConfig;
+use crate::error::EngineError;
 use crate::link::Link;
 use crate::message::{Envelope, WireSize};
 use crate::metrics::Metrics;
 use crate::protocol::Status;
 use crate::MachineIdx;
 
-/// Shared network state: the `k × k` ordered link matrix plus free
-/// self-delivery queues, with metrics accounting and the active-source
-/// index that keeps delivery O(active traffic).
-pub(crate) struct Network<M> {
-    k: usize,
-    /// Ordered links, indexed `src * k + dst` (diagonal unused).
+/// Validates `config` and that there is one protocol instance per
+/// machine.
+pub(crate) fn check_machines(config: &NetConfig, machines: usize) -> Result<(), EngineError> {
+    config.validate()?;
+    if machines != config.k {
+        return Err(EngineError::InvalidConfig {
+            reason: format!(
+                "one protocol instance per machine: got {machines} for k = {}",
+                config.k
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Machine `me`'s incoming side of the network: its links indexed by
+/// source, its self-queue, and the sorted active-source index that keeps
+/// delivery O(active traffic).
+pub(crate) struct Inlinks<M> {
+    me: MachineIdx,
+    /// Incoming links indexed by source (`links[me]` unused).
     links: Vec<Link<M>>,
-    /// Self-sends waiting for next round (no bandwidth charge).
-    self_queues: Vec<Vec<Envelope<M>>>,
-    /// Per-destination sorted list of sources with queued traffic
-    /// (`active[dst]` contains `dst` itself iff its self-queue is
-    /// non-empty). Maintained by `stage` (empty → non-empty) and
-    /// `deliver` (drained links drop out).
-    active: Vec<Vec<MachineIdx>>,
-    /// Messages queued anywhere (links + self-queues).
+    /// Self-sends waiting for this round's delivery (no bandwidth charge).
+    self_queue: Vec<Envelope<M>>,
+    /// Sorted sources with queued traffic (contains `me` iff the
+    /// self-queue is non-empty).
+    active: Vec<MachineIdx>,
+    /// Messages queued on links and the self-queue.
     queued_msgs: usize,
     /// Undelivered bits queued on links (self-sends are free).
     queued_bits: u64,
-    pub(crate) metrics: Metrics,
+    link_visits: u64,
 }
 
-impl<M: WireSize> Network<M> {
-    pub(crate) fn new(k: usize) -> Self {
-        let mut links = Vec::with_capacity(k * k);
-        links.resize_with(k * k, Link::default);
-        Network {
-            k,
+impl<M: WireSize> Inlinks<M> {
+    pub(crate) fn new(k: usize, me: MachineIdx) -> Self {
+        let mut links = Vec::with_capacity(k);
+        links.resize_with(k, Link::default);
+        Inlinks {
+            me,
             links,
-            self_queues: (0..k).map(|_| Vec::new()).collect(),
-            active: (0..k).map(|_| Vec::new()).collect(),
+            self_queue: Vec::new(),
+            active: Vec::new(),
             queued_msgs: 0,
             queued_bits: 0,
-            metrics: Metrics::new(k),
+            link_visits: 0,
         }
     }
 
-    /// Marks `src` as having queued traffic towards `dst`. Only called on
-    /// an empty → non-empty transition, so `src` is never already present.
-    fn activate(&mut self, dst: MachineIdx, src: MachineIdx) {
-        let list = &mut self.active[dst];
-        let pos = list
+    /// Marks `src` as having queued traffic. Only called on an empty →
+    /// non-empty transition, so `src` is never already present.
+    fn activate(&mut self, src: MachineIdx) {
+        let pos = self
+            .active
             .binary_search(&src)
             // lint: allow(panic) — activate() fires only on the empty->non-empty transition, so src is absent
             .expect_err("activated twice without draining");
-        list.insert(pos, src);
+        self.active.insert(pos, src);
+    }
+
+    /// A self-send: free, no serialization, delivered this round.
+    pub(crate) fn push_self(&mut self, msg: M) {
+        if self.self_queue.is_empty() {
+            self.activate(self.me);
+        }
+        self.self_queue.push(Envelope { src: self.me, msg });
+        self.queued_msgs += 1;
+    }
+
+    /// A message from `src` enters that link's FIFO. `bits` is its
+    /// clamped logical size, computed once at staging or carried in the
+    /// frame header; `Link::push_sized` cross-checks it in debug builds.
+    pub(crate) fn push(&mut self, src: MachineIdx, msg: M, bits: u64) {
+        if self.links[src].is_empty() {
+            self.activate(src);
+        }
+        self.links[src].push_sized(Envelope { src, msg }, bits);
+        self.queued_msgs += 1;
+        self.queued_bits += bits;
+    }
+
+    /// The delivery walk: visits the sorted active sources, releases up
+    /// to `budget` bits per link into `inbox`, and drops drained sources
+    /// from the index. Returns whether any link moved a bit.
+    pub(crate) fn deliver(&mut self, budget: u64, inbox: &mut Vec<Envelope<M>>) -> bool {
+        let mut any = false;
+        let mut sources = std::mem::take(&mut self.active);
+        sources.retain(|&src| {
+            if src == self.me {
+                self.queued_msgs -= self.self_queue.len();
+                inbox.append(&mut self.self_queue);
+                return false; // self-queues always drain fully
+            }
+            self.link_visits += 1;
+            let link = &mut self.links[src];
+            let d = link.deliver(budget, inbox);
+            any |= d.bits_used > 0;
+            self.queued_msgs -= d.msgs as usize;
+            self.queued_bits -= d.msg_bits;
+            !link.is_empty()
+        });
+        self.active = sources;
+        any
+    }
+
+    /// `(messages, undelivered link bits)` still queued here.
+    pub(crate) fn queued(&self) -> (usize, u64) {
+        (self.queued_msgs, self.queued_bits)
+    }
+
+    /// Adds this destination's receive side to `metrics`. Called once
+    /// the run is quiescent, so every message pushed through a link has
+    /// been received.
+    pub(crate) fn fold_into(&self, metrics: &mut Metrics) {
+        for (msgs, bits) in self.links.iter().map(Link::totals) {
+            metrics.recv_msgs[self.me] += msgs;
+            metrics.recv_bits[self.me] += bits;
+            metrics.max_link_bits = metrics.max_link_bits.max(bits);
+        }
+        metrics.link_visits += self.link_visits;
+    }
+}
+
+/// The in-process network: every destination's [`Inlinks`] plus the
+/// send-side metrics.
+pub(crate) struct Network<M> {
+    inlinks: Vec<Inlinks<M>>,
+    metrics: Metrics,
+}
+
+impl<M: WireSize> Network<M> {
+    fn new(k: usize) -> Self {
+        Network {
+            inlinks: (0..k).map(|me| Inlinks::new(k, me)).collect(),
+            metrics: Metrics::new(k),
+        }
     }
 
     /// Stages one message. Link traffic is charged to the sender here
     /// (bits are counted when sent, received when delivered).
     pub(crate) fn stage(&mut self, src: MachineIdx, dst: MachineIdx, msg: M) {
-        self.queued_msgs += 1;
         if src == dst {
-            if self.self_queues[src].is_empty() {
-                self.activate(src, src);
-            }
-            self.self_queues[src].push(Envelope { src, msg });
+            self.inlinks[dst].push_self(msg);
             return;
         }
         let bits = msg.bits().max(1);
         self.metrics.sent_msgs[src] += 1;
         self.metrics.sent_bits[src] += bits;
-        self.queued_bits += bits;
-        if self.links[src * self.k + dst].is_empty() {
-            self.activate(dst, src);
-        }
-        self.links[src * self.k + dst].push_sized(Envelope { src, msg }, bits);
+        self.inlinks[dst].push(src, msg, bits);
     }
 
-    /// Runs one delivery phase: every *active* link releases up to
-    /// `budget` bits; links with nothing queued are not visited. Returns
-    /// `true` if any link transmitted at least one bit.
-    pub(crate) fn deliver(&mut self, budget: u64, inboxes: &mut [Vec<Envelope<M>>]) -> bool {
+    /// Runs one delivery phase over every destination. Returns `true` if
+    /// any link transmitted at least one bit.
+    fn deliver(&mut self, budget: u64, inboxes: &mut [Vec<Envelope<M>>]) -> bool {
         let mut any = false;
-        for (dst, inbox) in inboxes.iter_mut().enumerate().take(self.k) {
-            if self.active[dst].is_empty() {
-                continue;
-            }
-            // Walk this destination's active sources in machine order
-            // (the list is sorted), retaining only those still queued.
-            let mut sources = std::mem::take(&mut self.active[dst]);
-            sources.retain(|&src| {
-                if src == dst {
-                    self.queued_msgs -= self.self_queues[dst].len();
-                    inbox.append(&mut self.self_queues[dst]);
-                    return false; // self-queues always drain fully
-                }
-                self.metrics.link_visits += 1;
-                let link = &mut self.links[src * self.k + dst];
-                let d = link.deliver(budget, inbox);
-                if d.bits_used > 0 {
-                    any = true;
-                }
-                // Received counts come from the sizes cached at staging
-                // time, so recv accounting can never drift from sent and
-                // `WireSize::bits` is not re-called on delivery.
-                self.metrics.recv_msgs[dst] += d.msgs;
-                self.metrics.recv_bits[dst] += d.msg_bits;
-                self.queued_msgs -= d.msgs as usize;
-                self.queued_bits -= d.msg_bits;
-                !link.is_empty()
-            });
-            self.active[dst] = sources;
+        for (inl, inbox) in self.inlinks.iter_mut().zip(inboxes) {
+            any |= inl.deliver(budget, inbox);
         }
         any
     }
 
-    /// Whether all links and self-queues are empty. O(1).
-    pub(crate) fn is_drained(&self) -> bool {
-        self.queued_msgs == 0
+    /// `(messages, undelivered link bits)` queued anywhere.
+    fn queued(&self) -> (usize, u64) {
+        self.inlinks
+            .iter()
+            .map(Inlinks::queued)
+            .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db))
     }
 
-    /// Number of queued (undelivered) messages. O(1).
-    pub(crate) fn queued(&self) -> usize {
-        self.queued_msgs
-    }
-
-    /// Undelivered bits still queued on links. O(1).
-    pub(crate) fn queued_bits(&self) -> u64 {
-        self.queued_bits
-    }
-
-    /// Links the active index currently tracks (with queued traffic).
-    #[cfg(test)]
-    fn active_links(&self) -> usize {
-        self.active.iter().map(Vec::len).sum()
-    }
-
-    /// Finalizes the max-per-link statistic.
-    pub(crate) fn finalize(&mut self) {
-        self.metrics.max_link_bits = self.links.iter().map(|l| l.totals().1).max().unwrap_or(0);
+    /// The run's metrics: send side as staged, receive side folded in.
+    fn into_metrics(self, rounds: u64) -> Metrics {
+        let mut metrics = self.metrics;
+        for inl in &self.inlinks {
+            inl.fold_into(&mut metrics);
+        }
+        metrics.rounds = rounds;
+        metrics
     }
 }
 
-/// Outcome of the per-round termination check.
-pub(crate) fn quiescent<M>(
-    statuses: &[Status],
-    net: &Network<M>,
-    inboxes: &[Vec<Envelope<M>>],
-) -> bool
+/// The round clock: counts iterations and communication rounds, and
+/// decides how each iteration ends (step 4).
+#[derive(Default)]
+pub(crate) struct Clock {
+    /// Iterations run so far; the next iteration's `RoundCtx::round`.
+    pub(crate) round: u64,
+    /// Iterations in which some link moved at least one bit.
+    pub(crate) comm_rounds: u64,
+}
+
+impl Clock {
+    /// Closes one iteration. `moved`: some link carried a bit; `idle`:
+    /// every inbox is empty; `queued`: what the links still hold.
+    /// `Ok(true)` at global quiescence, `Ok(false)` to run another round.
+    ///
+    /// # Errors
+    /// [`EngineError::RoundLimitExceeded`] once `config.max_rounds`
+    /// iterations ran without quiescence.
+    pub(crate) fn tick(
+        &mut self,
+        config: &NetConfig,
+        statuses: &[Status],
+        moved: bool,
+        idle: bool,
+        (queued_msgs, queued_bits): (usize, u64),
+    ) -> Result<bool, EngineError> {
+        self.comm_rounds += u64::from(moved);
+        self.round += 1;
+        if idle && queued_msgs == 0 && statuses.iter().all(|s| *s == Status::Done) {
+            return Ok(true);
+        }
+        if self.round >= config.max_rounds {
+            return Err(EngineError::RoundLimitExceeded {
+                limit: config.max_rounds,
+                active_machines: statuses.iter().filter(|s| **s == Status::Active).count(),
+                queued_msgs,
+                queued_bits,
+            });
+        }
+        Ok(false)
+    }
+}
+
+/// The master loop of the in-process engines. Each iteration `step`
+/// runs step 1 — every machine's round on `inboxes`, its status written
+/// to `statuses`, its sends staged into the network — and this runs
+/// steps 2–4 until quiescence.
+pub(crate) fn run_rounds<M, F>(config: &NetConfig, mut step: F) -> Result<Metrics, EngineError>
 where
     M: WireSize,
+    F: FnMut(u64, &mut [Vec<Envelope<M>>], &mut [Status], &mut Network<M>),
 {
-    statuses.iter().all(|s| *s == Status::Done)
-        && net.is_drained()
-        && inboxes.iter().all(Vec::is_empty)
+    let k = config.k;
+    let mut net = Network::new(k);
+    let mut inboxes: Vec<Vec<Envelope<M>>> = (0..k).map(|_| Vec::new()).collect();
+    let mut statuses = vec![Status::Active; k];
+    let mut clock = Clock::default();
+    loop {
+        step(clock.round, &mut inboxes, &mut statuses, &mut net);
+        for inbox in &mut inboxes {
+            inbox.clear();
+        }
+        let moved = net.deliver(config.bandwidth_bits, &mut inboxes);
+        let idle = inboxes.iter().all(Vec::is_empty);
+        if clock.tick(config, &statuses, moved, idle, net.queued())? {
+            return Ok(net.into_metrics(clock.comm_rounds));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -217,6 +334,16 @@ mod tests {
     use crate::message::{Envelope, Outbox};
     use crate::protocol::{Protocol, RoundCtx, Status};
     use rand::Rng;
+
+    /// Links the active indexes currently track (with queued traffic).
+    fn active_links<M>(net: &Network<M>) -> usize {
+        net.inlinks.iter().map(|inl| inl.active.len()).sum()
+    }
+
+    /// Link visits the delivery walks performed so far.
+    fn link_visits<M>(net: &Network<M>) -> u64 {
+        net.inlinks.iter().map(|inl| inl.link_visits).sum()
+    }
 
     /// Random-size messages to random peers for a few rounds: exercises
     /// partial deliveries (messages larger than one round's budget) and
@@ -278,26 +405,23 @@ mod tests {
 
         // Idle network: a delivery phase visits nothing.
         assert!(!net.deliver(64, &mut inboxes));
-        assert_eq!(net.metrics.link_visits, 0);
-        assert!(net.is_drained());
+        assert_eq!(link_visits(&net), 0);
+        assert_eq!(net.queued(), (0, 0));
 
         // Three link messages on two links + one free self-send.
         net.stage(3, 7, 1);
         net.stage(5, 7, 2);
         net.stage(3, 7, 3);
         net.stage(9, 9, 4);
-        assert_eq!(net.active_links(), 3, "two link sources + one self");
-        assert_eq!(net.queued(), 4);
-        assert_eq!(net.queued_bits(), 3 * 32);
-        assert!(!net.is_drained());
+        assert_eq!(active_links(&net), 3, "two link sources + one self");
+        assert_eq!(net.queued(), (4, 3 * 32));
 
         // One phase delivers everything and visits exactly the 2 active
         // links (self-queues are not links); the index empties.
         assert!(net.deliver(64, &mut inboxes));
-        assert_eq!(net.metrics.link_visits, 2);
-        assert_eq!(net.active_links(), 0);
-        assert!(net.is_drained());
-        assert_eq!(net.queued_bits(), 0);
+        assert_eq!(link_visits(&net), 2);
+        assert_eq!(active_links(&net), 0);
+        assert_eq!(net.queued(), (0, 0));
         // Inbox 7 is ordered by sender index: 3's FIFO pair, then 5.
         let got: Vec<(usize, u32)> = inboxes[7].iter().map(|e| (e.src, e.msg)).collect();
         assert_eq!(got, vec![(3, 1), (3, 3), (5, 2)]);
@@ -305,7 +429,7 @@ mod tests {
 
         // Another idle phase still visits nothing.
         assert!(!net.deliver(64, &mut inboxes));
-        assert_eq!(net.metrics.link_visits, 2);
+        assert_eq!(link_visits(&net), 2);
     }
 
     /// A link whose message outlives one round's budget stays in the
@@ -319,14 +443,14 @@ mod tests {
         for round in 0..2 {
             assert!(net.deliver(100, &mut inboxes));
             assert!(inboxes[2].is_empty(), "not yet complete at round {round}");
-            assert_eq!(net.active_links(), 1);
-            assert!(!net.is_drained());
+            assert_eq!(active_links(&net), 1);
+            assert_ne!(net.queued().0, 0);
         }
         assert!(net.deliver(100, &mut inboxes));
         assert_eq!(inboxes[2].len(), 1);
-        assert_eq!(net.active_links(), 0);
-        assert!(net.is_drained());
-        assert_eq!(net.metrics.link_visits, 3);
+        assert_eq!(active_links(&net), 0);
+        assert_eq!(net.queued(), (0, 0));
+        assert_eq!(link_visits(&net), 3);
     }
 
     /// A full sequential run on a ring at k = 32 performs O(rounds) link

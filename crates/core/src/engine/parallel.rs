@@ -3,12 +3,13 @@
 //! Machines are partitioned into contiguous chunks, one worker thread per
 //! chunk. Each round the master ships every machine its inbox, workers run
 //! [`Protocol::round`] in parallel, and the master merges the returned
-//! outboxes *in machine order* before running the same delivery phase as
-//! the sequential engine — so transcripts, metrics, and RNG streams are
+//! outboxes *in machine order*. That exchange is the `step` it hands to
+//! the master loop it shares with the sequential engine (`run_rounds` in
+//! `engine/mod.rs`), so transcripts, metrics, and RNG streams are
 //! bit-for-bit identical to [`super::SequentialEngine`].
 
 use crate::config::NetConfig;
-use crate::engine::{quiescent, Network};
+use crate::engine::{check_machines, run_rounds};
 use crate::error::EngineError;
 use crate::message::{Envelope, Outbox};
 use crate::metrics::RunReport;
@@ -78,16 +79,7 @@ impl ParallelEngine {
         P: Protocol + Send,
         P::Msg: Send,
     {
-        config.validate()?;
-        if machines.len() != config.k {
-            return Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "one protocol instance per machine: got {} for k = {}",
-                    machines.len(),
-                    config.k
-                ),
-            });
-        }
+        check_machines(&config, machines.len())?;
         let k = config.k;
         let workers = self.threads.min(k).max(1);
         if workers == 1 {
@@ -163,68 +155,46 @@ impl ParallelEngine {
                 });
             }
 
-            // Master loop: identical delivery semantics to the sequential engine.
-            let mut net: Network<P::Msg> = Network::new(k);
-            let mut inboxes: Vec<Vec<Envelope<P::Msg>>> = (0..k).map(|_| Vec::new()).collect();
-            let mut statuses = vec![Status::Active; k];
-            let mut iterations: u64 = 0;
-            let mut comm_rounds: u64 = 0;
-            let result = loop {
-                // Ship inboxes (moving them out), collect outboxes in order.
-                let mut inbox_iter = std::mem::take(&mut inboxes).into_iter();
+            // Step 1 ships every worker its chunk's inboxes (moving them
+            // out) and stages the returned outboxes in machine order.
+            let result = run_rounds(&config, |round, inboxes, statuses, net| {
                 for (w, tx) in cmd_txs.iter().enumerate() {
-                    let take = if w + 1 < nchunks {
-                        bases[w + 1] - bases[w]
-                    } else {
-                        k - bases[w]
-                    };
-                    let batch: Vec<_> = inbox_iter.by_ref().take(take).collect();
+                    let end = bases.get(w + 1).copied().unwrap_or(k);
+                    let batch = inboxes[bases[w]..end]
+                        .iter_mut()
+                        .map(std::mem::take)
+                        .collect();
                     tx.send(Cmd::Round {
-                        round: iterations,
+                        round,
                         inboxes: batch,
                     })
                     // lint: allow(panic) — a worker dies only if the protocol panicked, which propagates out of the scope anyway
                     .expect("worker alive");
                 }
                 // Workers answer in worker order with contiguous machine
-                // chunks, so re-extending `inboxes` with the returned
-                // (cleared) buffers restores machine order — and reuses
-                // every buffer's capacity instead of allocating k fresh
-                // `Vec`s per round.
+                // chunks; their returned (cleared) buffers go back into
+                // the chunk's slots, so every buffer's capacity is reused
+                // instead of allocating k fresh `Vec`s per round.
                 for (w, rx) in resp_rxs.iter().enumerate() {
                     // lint: allow(panic) — a worker dies only if the protocol panicked, which propagates out of the scope anyway
                     match rx.recv().expect("worker alive") {
                         Resp::Round { results, buffers } => {
-                            for (j, (msgs, status)) in results.into_iter().enumerate() {
+                            for (j, ((msgs, status), buffer)) in
+                                results.into_iter().zip(buffers).enumerate()
+                            {
                                 let me = bases[w] + j;
                                 statuses[me] = status;
+                                inboxes[me] = buffer;
                                 for (dst, msg) in msgs {
                                     net.stage(me, dst, msg);
                                 }
                             }
-                            inboxes.extend(buffers);
                         }
                         // lint: allow(panic) — worker protocol invariant: Final is only sent in response to Stop
                         Resp::Final(_) => unreachable!("workers only finalize on Stop"),
                     }
                 }
-                debug_assert_eq!(inboxes.len(), k);
-                if net.deliver(config.bandwidth_bits, &mut inboxes) {
-                    comm_rounds += 1;
-                }
-                iterations += 1;
-                if quiescent(&statuses, &net, &inboxes) {
-                    break Ok(());
-                }
-                if iterations >= config.max_rounds {
-                    break Err(EngineError::RoundLimitExceeded {
-                        limit: config.max_rounds,
-                        active_machines: statuses.iter().filter(|s| **s == Status::Active).count(),
-                        queued_msgs: net.queued(),
-                        queued_bits: net.queued_bits(),
-                    });
-                }
-            };
+            });
 
             // Collect machines back (always, even on error, to join cleanly).
             let mut final_machines: Vec<P> = Vec::with_capacity(k);
@@ -240,14 +210,10 @@ impl ParallelEngine {
                     Resp::Round { .. } => unreachable!("Stop yields Final"),
                 }
             }
-            result.map(|_| {
-                net.finalize();
-                net.metrics.rounds = comm_rounds;
-                RunReport {
-                    machines: final_machines,
-                    metrics: net.metrics,
-                    wire: None,
-                }
+            result.map(|metrics| RunReport {
+                machines: final_machines,
+                metrics,
+                wire: None,
             })
         })
         // lint: allow(panic) — deliberate propagation: a protocol panic in a worker resurfaces on the caller thread

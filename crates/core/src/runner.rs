@@ -513,14 +513,28 @@ mod tests {
 
     #[test]
     fn runner_rejects_invalid_configs_before_running() {
-        let err = Runner::new(NetConfig::with_bandwidth(0, 64, 0))
-            .run(Vec::<SumUp>::new())
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidConfig { .. }), "{err}");
-        let err = Runner::new(NetConfig::with_bandwidth(0, 64, 0))
-            .run_algorithm(&SumAlgorithm)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidConfig { .. }), "{err}");
+        let kinds = [
+            EngineKind::Sequential,
+            EngineKind::Parallel { threads: 2 },
+            EngineKind::Distributed,
+            EngineKind::Auto,
+        ];
+        for kind in kinds {
+            let zero_k = Runner::new(NetConfig::with_bandwidth(0, 64, 0)).engine(kind);
+            // k = 3 machines configured, 2 protocol instances supplied:
+            // only the engine's own machine-count check can catch this.
+            let short = Runner::new(NetConfig::with_bandwidth(3, 64, 0)).engine(kind);
+            for err in [
+                zero_k.run(Vec::<SumUp>::new()).unwrap_err(),
+                zero_k.run_algorithm(&SumAlgorithm).unwrap_err(),
+                short.run(SumAlgorithm.build(2)).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, EngineError::InvalidConfig { .. }),
+                    "{kind:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
