@@ -2,13 +2,15 @@
 //! applications.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use km_core::NetConfig;
+use km_core::{run_algorithm, EngineKind, NetConfig, Runner};
 use km_graph::generators::classic::complete_weighted_random;
-use km_graph::generators::gnp;
-use km_graph::Partition;
-use km_mst::{kruskal, run_boruvka, run_sketch_connectivity, sketch::sketch_spanning_forest};
+use km_graph::generators::{gnm, gnp};
+use km_graph::{Partition, Vertex, WeightedGraph};
+use km_mst::{
+    kruskal, run_boruvka, run_sketch_connectivity, sketch::sketch_spanning_forest, DistributedMst,
+};
 use km_sort::{run_sample_sort, SampleSort};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
@@ -41,6 +43,23 @@ fn bench_mst(c: &mut Criterion) {
             b.iter(|| run_boruvka(&g, &part, net).unwrap())
         });
     }
+
+    // The shape of kmbench's `boruvka.seq` workload: many machines and
+    // cheap phases on a sparse graph, so per-phase local bookkeeping
+    // (contraction) shows up next to the protocol's traffic.
+    let (n, k) = (20_000, 64);
+    let sparse = gnm(n, 4 * n, &mut rng);
+    let edges: Vec<(Vertex, Vertex)> = sparse.edges().map(|e| (e.u, e.v)).collect();
+    let ws: Vec<f64> = edges.iter().map(|_| rng.gen_range(0.0..1.0)).collect();
+    let g = WeightedGraph::from_weighted_edges(n, &edges, &ws).unwrap();
+    let part = Arc::new(Partition::by_hash(n, k, 2));
+    let net = NetConfig::polylog(k, n, 3).max_rounds(50_000_000);
+    group.bench_function("boruvka/n20000_k64", |b| {
+        b.iter(|| {
+            let runner = Runner::new(net).engine(EngineKind::Sequential);
+            run_algorithm(&DistributedMst { g: &g, part: &part }, runner).unwrap()
+        })
+    });
     group.finish();
 }
 

@@ -57,14 +57,7 @@ pub fn kruskal(g: &WeightedGraph) -> (Vec<Edge>, f64) {
     // Deterministic total order: weight, then endpoints. `WeightedGraph`
     // guarantees finite weights, so total_cmp is the plain numeric order.
     edges.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    let mut parent: Vec<u32> = (0..g.n() as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
+    let mut parent: Vec<Vertex> = (0..g.n() as Vertex).collect();
     let mut out = Vec::new();
     let mut total = 0.0;
     for (e, w) in edges {
@@ -77,6 +70,16 @@ pub fn kruskal(g: &WeightedGraph) -> (Vec<Edge>, f64) {
     }
     out.sort_unstable();
     (out, total)
+}
+
+/// Root of `x` in the union-find forest `labels`, with path halving.
+fn find(labels: &mut [Vertex], mut x: Vertex) -> Vertex {
+    while labels[x as usize] != x {
+        let grand = labels[labels[x as usize] as usize];
+        labels[x as usize] = grand;
+        x = grand;
+    }
+    x
 }
 
 /// A candidate or chosen MST edge with its weight, ordered by
@@ -262,8 +265,11 @@ pub struct BoruvkaMst {
     n: usize,
     /// This machine's RVP input (hosted vertices + weighted adjacency).
     lg: LocalGraph,
-    /// Component label of every vertex (identical on all machines: it is
-    /// a deterministic function of the broadcast choice sets).
+    /// Union-find forest over all `n` vertices; read it through [`find`].
+    /// Every root is its component's minimum vertex, so roots are
+    /// identical on all machines (a deterministic function of the
+    /// broadcast choice sets), while interior pointers may differ between
+    /// machines because path halving follows each machine's own lookups.
     labels: Vec<Vertex>,
     /// Proxy duty: best candidate per component I'm responsible for.
     proxy_best: BTreeMap<Vertex, Cand>,
@@ -334,9 +340,9 @@ impl BoruvkaMst {
     fn gather(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>) {
         let mut best: BTreeMap<Vertex, Cand> = BTreeMap::new();
         for (j, &v) in self.lg.vertices().iter().enumerate() {
-            let lv = self.labels[v as usize];
+            let lv = find(&mut self.labels, v);
             for (&u, &w) in self.lg.neighbors(j).iter().zip(self.lg.neighbor_weights(j)) {
-                if self.labels[u as usize] == lv {
+                if find(&mut self.labels, u) == lv {
                     continue;
                 }
                 let cand = Cand {
@@ -390,41 +396,25 @@ impl BoruvkaMst {
     }
 
     /// Applies the phase's chosen edges: contract components (identical
-    /// deterministic computation on every machine).
+    /// deterministic computation on every machine). Hooks root onto root
+    /// in the `labels` forest, so a phase costs O(chosen edges · log) for
+    /// the sort plus near-constant `find`s, never a pass over all `n`.
     fn contract(&mut self) {
         let mut chosen = std::mem::take(&mut self.phase_chosen);
-        chosen.sort_by_key(|a| a.0);
+        // Equal keys are the same edge of a simple graph, with the same
+        // weight, so an unstable sort is still deterministic.
+        chosen.sort_unstable_by_key(|a| a.0);
         chosen.dedup_by(|a, b| a.0 == b.0);
-        // Union-find over current labels.
-        let mut parent: BTreeMap<Vertex, Vertex> = BTreeMap::new();
-        let find = |parent: &mut BTreeMap<Vertex, Vertex>, mut x: Vertex| {
-            while let Some(&p) = parent.get(&x) {
-                if p == x {
-                    break;
-                }
-                x = p;
-            }
-            x
-        };
-        let mut accepted = Vec::new();
-        for &(e, w) in &chosen {
-            let cu = self.labels[e.u as usize];
-            let cv = self.labels[e.v as usize];
-            let ru = find(&mut parent, cu);
-            let rv = find(&mut parent, cv);
+        for (e, w) in chosen {
+            let ru = find(&mut self.labels, e.u);
+            let rv = find(&mut self.labels, e.v);
             if ru != rv {
-                // Hook larger label under smaller for determinism.
-                let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
-                parent.insert(hi, lo);
-                parent.entry(lo).or_insert(lo);
-                accepted.push((e, w));
+                // Hook larger root under smaller: roots stay component
+                // minima, identical on every machine.
+                self.labels[ru.max(rv) as usize] = ru.min(rv);
+                self.forest.push((e, w));
             }
         }
-        for v in 0..self.n {
-            let l = self.labels[v];
-            self.labels[v] = find(&mut parent, l);
-        }
-        self.forest.extend(accepted);
     }
 
     fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>) {
@@ -510,6 +500,20 @@ impl Protocol for BoruvkaMst {
     }
 }
 
+/// The output of both Borůvka adapters: `(sorted forest edges, total
+/// weight)`, read off machine 0 since every machine builds the same
+/// forest (deterministic contraction).
+fn forest_output(machines: &[BoruvkaMst]) -> (Vec<Edge>, f64) {
+    let m0 = &machines[0];
+    debug_assert!(
+        machines.iter().all(|m| m.forest == m0.forest),
+        "machines disagree on the forest"
+    );
+    let mut edges: Vec<Edge> = m0.forest.iter().map(|&(e, _)| e).collect();
+    edges.sort_unstable();
+    (edges, m0.forest_weight())
+}
+
 /// Distributed Borůvka as a [`KmAlgorithm`]: weighted graph + partition
 /// in, `(sorted forest edges, total weight)` out.
 #[derive(Debug, Clone, Copy)]
@@ -530,15 +534,7 @@ impl KmAlgorithm for DistributedMst<'_> {
     }
 
     fn extract(&self, machines: Vec<BoruvkaMst>, _metrics: &Metrics) -> (Vec<Edge>, f64) {
-        let m0 = &machines[0];
-        let mut edges: Vec<Edge> = m0.forest.iter().map(|&(e, _)| e).collect();
-        edges.sort_unstable();
-        let weight = m0.forest_weight();
-        // All machines agree on the forest (deterministic contraction).
-        for m in &machines[1..] {
-            debug_assert_eq!(m.forest.len(), m0.forest.len());
-        }
-        (edges, weight)
+        forest_output(&machines)
     }
 }
 
@@ -578,14 +574,7 @@ impl KmAlgorithm for PrebuiltMst<'_> {
     }
 
     fn extract(&self, machines: Vec<BoruvkaMst>, _metrics: &Metrics) -> (Vec<Edge>, f64) {
-        let m0 = &machines[0];
-        let mut edges: Vec<Edge> = m0.forest.iter().map(|&(e, _)| e).collect();
-        edges.sort_unstable();
-        let weight = m0.forest_weight();
-        for m in &machines[1..] {
-            debug_assert_eq!(m.forest.len(), m0.forest.len());
-        }
-        (edges, weight)
+        forest_output(&machines)
     }
 }
 
@@ -603,6 +592,7 @@ pub fn run_boruvka_dist(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use km_core::EngineKind;
     use km_graph::generators::classic::complete_weighted_random;
     use km_graph::generators::gnp;
     use rand::SeedableRng;
@@ -698,6 +688,48 @@ mod tests {
             "phases {}",
             report.machines[0].phases
         );
+    }
+
+    #[test]
+    fn machines_agree_on_forest_and_component_roots() {
+        // Sparse enough to leave many components, large enough for
+        // several contraction phases.
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let (n, k) = (2000, 16);
+        let g = random_weighted_gnp(n, 1.5 / n as f64, &mut rng);
+        let mut oracle: Vec<Vertex> = (0..n as Vertex).collect();
+        for e in kruskal(&g).0 {
+            let (ru, rv) = (find(&mut oracle, e.u), find(&mut oracle, e.v));
+            oracle[ru.max(rv) as usize] = ru.min(rv);
+        }
+        let part = Arc::new(Partition::by_hash(n, k, 4));
+        for engine in [
+            EngineKind::Sequential,
+            EngineKind::Parallel { threads: 2 },
+            EngineKind::Distributed,
+        ] {
+            let machines = BoruvkaMst::build_all(&g, &part);
+            let report = Runner::new(net(k, n, 17))
+                .engine(engine)
+                .run(machines)
+                .unwrap();
+            let bits = |m: &BoruvkaMst| -> Vec<(Edge, u64)> {
+                m.forest.iter().map(|&(e, w)| (e, w.to_bits())).collect()
+            };
+            let m0 = &report.machines[0];
+            assert!(m0.phases >= 4, "{engine:?}: only {} phases", m0.phases);
+            for (i, m) in report.machines.iter().enumerate() {
+                assert_eq!(bits(m), bits(m0), "{engine:?}: machine {i} forest");
+                let mut labels = m.labels.clone();
+                for v in 0..n as Vertex {
+                    assert_eq!(
+                        find(&mut labels, v),
+                        find(&mut oracle, v),
+                        "{engine:?}: machine {i} root of {v}"
+                    );
+                }
+            }
+        }
     }
 
     proptest::proptest! {
