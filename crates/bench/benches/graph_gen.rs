@@ -2,7 +2,6 @@
 //! fused per-machine distribution layer (`km_graph::dist`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use km_graph::dist::replicated_scan_reference;
 use km_graph::generators::lower_bound_h::LowerBoundGraph;
 use km_graph::generators::{chung_lu, gnm, gnp, power_law_weights};
 use km_graph::{CsrGraph, DistGraphBuilder, Partition};
@@ -53,9 +52,9 @@ fn bench_generators(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fused single-pass `DistGraphBuilder` vs the preserved replicated
-/// per-machine scan (`HashMap` index + `Vec<Vec<_>>` adjacency) on
-/// identical inputs.
+/// Fused single-pass `DistGraphBuilder` construction (its speedup over
+/// the retired per-machine replicated scan is archived in
+/// `BENCH_2026-07-29_dist.json`).
 fn bench_graph_dist(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_dist");
     group.sample_size(10);
@@ -66,9 +65,6 @@ fn bench_graph_dist(c: &mut Criterion) {
         let part = Arc::new(Partition::by_hash(n, k, 5));
         group.bench_with_input(BenchmarkId::new("fused_build", k), &k, |b, _| {
             b.iter(|| DistGraphBuilder::new(&part).undirected(&g))
-        });
-        group.bench_with_input(BenchmarkId::new("replicated_scan", k), &k, |b, _| {
-            b.iter(|| replicated_scan_reference(&g, &part))
         });
     }
     group.finish();

@@ -36,10 +36,9 @@
 use km_bench::workloads::sparse_ring_machines;
 use km_core::router::UniformScatter;
 use km_core::{EngineKind, Metrics, NetConfig, Runner};
-use km_graph::dist::replicated_scan_reference;
 use km_graph::generators::{gnm, gnp};
 use km_graph::{
-    DistGraphBuilder, GnpStream, LocalGraph, Partition, StreamingDistBuilder, Vertex, WeightedGraph,
+    DistGraphBuilder, GnpStream, Partition, StreamingDistBuilder, Vertex, WeightedGraph,
 };
 use rand::Rng;
 use rand::SeedableRng;
@@ -81,15 +80,14 @@ struct Cell {
 }
 
 /// One cell of the `DistGraphBuilder` build-time matrix: the fused
-/// single-pass build vs the preserved replicated per-machine scan.
+/// single-pass build (its speedup over the retired replicated scan is
+/// archived in `BENCH_2026-07-29_dist.json`).
 #[derive(Serialize)]
 struct DistBuildCell {
     n: usize,
     m: usize,
     k: usize,
     fused_wall_ms: f64,
-    replicated_scan_wall_ms: f64,
-    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -589,35 +587,20 @@ fn main() {
     workloads.push(cell("sparse_ring_t8_h400", k, 5, ms, kind, &report.metrics));
     println!("sparse ring    k={k:<4} {ms:>10.3} ms");
 
-    // Fused DistGraphBuilder build vs the replicated per-machine scan.
+    // Fused DistGraphBuilder build time.
     let mut dist_build = Vec::new();
     for &n in &TIERS_BUILD {
         let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
         let g = gnm(n, 8 * n, &mut rng);
         for &k in &[16usize, 128] {
             let part = Arc::new(Partition::by_hash(n, k, 5));
-            let (fused_ms, d) = best_ms(5, || DistGraphBuilder::new(&part).undirected(&g));
-            let (scan_ms, endpoints) = best_ms(5, || replicated_scan_reference(&g, &part));
-            assert_eq!(
-                d.locals()
-                    .iter()
-                    .map(LocalGraph::edge_endpoints)
-                    .sum::<usize>(),
-                endpoints,
-                "fused and replicated builds must store identical state"
-            );
-            println!(
-                "dist_build     n={n:<7} k={k:<4} fused {fused_ms:>8.3} ms vs scan \
-                 {scan_ms:>8.3} ms => {:.2}x",
-                scan_ms / fused_ms
-            );
+            let (fused_ms, _) = best_ms(5, || DistGraphBuilder::new(&part).undirected(&g));
+            println!("dist_build     n={n:<7} k={k:<4} fused {fused_ms:>8.3} ms");
             dist_build.push(DistBuildCell {
                 n,
                 m: g.m(),
                 k,
                 fused_wall_ms: fused_ms,
-                replicated_scan_wall_ms: scan_ms,
-                speedup: scan_ms / fused_ms,
             });
         }
     }

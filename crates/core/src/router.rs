@@ -49,60 +49,94 @@ pub fn phase_proxy_of(shared_seed: u64, phase: u64, key: u64, k: usize) -> Machi
     )
 }
 
-/// Flush-barrier bookkeeping for multi-stage phase protocols.
+/// The stage barrier of every multi-stage phase protocol.
 ///
-/// The pattern (used by `BoruvkaMst` and the sketch-connectivity label
-/// service in `km-mst`): on entering a stage, a machine sends the stage's
-/// payload messages and then **broadcasts a flush** carrying small
-/// counters. Links are FIFO, so once a machine has collected `k − 1`
-/// flushes of the current parity, every payload message of the stage has
-/// been delivered to it — a full barrier without global coordination.
-/// Messages of the *next* stage can arrive one stage early (the sender
-/// advanced first); callers park them and replay at the flip. Drift can
-/// never exceed one stage, because advancing twice would require the
-/// slow machine's own flush in between.
+/// The pattern: on entering a stage, a machine sends the stage's payload
+/// messages, tagged with the stage, and then **broadcasts a flush**
+/// carrying `C` small counters. Links are FIFO, so once a machine has
+/// collected `k − 1` flushes of the current stage, every payload message
+/// of the stage has been delivered to it — a full barrier without global
+/// coordination. Messages of the *next* stage can arrive one stage early
+/// (the sender advanced first); [`PhaseBarrier::admit`] parks them and
+/// [`PhaseBarrier::flip`] hands them back. Drift can never exceed one
+/// stage, because advancing twice would require the slow machine's own
+/// flush in between.
 ///
-/// `PhaseBarrier` tracks the parity, the flush count, and the
-/// element-wise sum of the flush counters; [`PhaseBarrier::ready`] says
-/// when the barrier is complete and [`PhaseBarrier::flip`] returns the
-/// aggregated counters and re-arms for the next stage.
+/// The barrier owns the stage counter (its low bit is the parity that
+/// one-bit tags carry), the peer flush count, the element-wise sum of
+/// the flush counters including this machine's own contribution, and
+/// the parked messages. `flip` does not replay them: each protocol
+/// picks its own replay point (DESIGN.md, "Stage barriers").
+///
+/// Used by `BoruvkaMst` and `SketchConnectivity` (`km-mst`),
+/// `KmPageRank` and `CongestPageRank` (`km-pagerank`), `KmTriangle` and
+/// `BroadcastTriangle` (`km-triangle`), and `SampleSort` (`km-sort`).
 #[derive(Debug, Clone)]
-pub struct PhaseBarrier<const C: usize> {
-    parity: bool,
+pub struct PhaseBarrier<M, const C: usize> {
+    stage: u64,
     flushes: usize,
-    agg: [u64; C],
+    totals: [u64; C],
+    parked: Vec<M>,
 }
 
-impl<const C: usize> Default for PhaseBarrier<C> {
+impl<M, const C: usize> Default for PhaseBarrier<M, C> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<const C: usize> PhaseBarrier<C> {
-    /// A fresh barrier at parity `false` with zeroed counters.
+impl<M, const C: usize> PhaseBarrier<M, C> {
+    /// A fresh barrier at stage 0 with zeroed counters.
     pub fn new() -> Self {
         PhaseBarrier {
-            parity: false,
+            stage: 0,
             flushes: 0,
-            agg: [0; C],
+            totals: [0; C],
+            parked: Vec::new(),
         }
     }
 
-    /// The current stage parity; outgoing messages (including flushes)
-    /// must be tagged with it, and an incoming message whose parity
-    /// differs belongs to the next stage (park it, replay after `flip`).
+    /// Stages completed so far, i.e. the index of the current stage.
+    #[inline]
+    pub fn stage(&self) -> u64 {
+        self.stage
+    }
+
+    /// The current stage's parity (the low bit of [`Self::stage`]), for
+    /// protocols that tag messages with one bit.
     #[inline]
     pub fn parity(&self) -> bool {
-        self.parity
+        self.stage & 1 == 1
     }
 
-    /// Absorbs one received flush carrying `counts`.
+    /// Sorts one received message by `tag`, the sender's stage counter
+    /// truncated to `tag_bits` bits (`1..=64`; 1 for a parity bit). A
+    /// message of the current stage is handed back to be applied now;
+    /// one of the next stage is parked until [`Self::flip`]. Debug
+    /// builds check that the tag is one of the two (drift ≤ 1) — with a
+    /// one-bit tag that holds by construction.
+    pub fn admit(&mut self, tag: u64, tag_bits: u32, msg: M) -> Option<M> {
+        let mask = u64::MAX >> (64 - tag_bits);
+        if tag == self.stage & mask {
+            return Some(msg);
+        }
+        debug_assert_eq!(tag, (self.stage + 1) & mask, "barrier drift exceeded 1");
+        self.parked.push(msg);
+        None
+    }
+
+    /// Adds this machine's own counters for the current stage to the
+    /// totals (it sends no flush to itself).
+    pub fn contribute(&mut self, counts: [u64; C]) {
+        for (t, c) in self.totals.iter_mut().zip(counts) {
+            *t += c;
+        }
+    }
+
+    /// Absorbs one received peer flush carrying `counts`.
     pub fn absorb(&mut self, counts: [u64; C]) {
         self.flushes += 1;
-        for (a, c) in self.agg.iter_mut().zip(counts) {
-            *a += c;
-        }
+        self.contribute(counts);
     }
 
     /// Whether all `k − 1` peer flushes of the current stage are in.
@@ -111,13 +145,16 @@ impl<const C: usize> PhaseBarrier<C> {
         self.flushes == k - 1
     }
 
-    /// Completes the stage: returns the aggregated peer counters and
-    /// re-arms the barrier with flipped parity.
-    pub fn flip(&mut self) -> [u64; C] {
-        let agg = std::mem::replace(&mut self.agg, [0; C]);
+    /// Completes the stage: returns the summed counters (peers' and this
+    /// machine's) and the messages parked for the next stage, in arrival
+    /// order, and re-arms the barrier for that stage.
+    pub fn flip(&mut self) -> ([u64; C], Vec<M>) {
+        self.stage += 1;
         self.flushes = 0;
-        self.parity = !self.parity;
-        agg
+        (
+            std::mem::replace(&mut self.totals, [0; C]),
+            std::mem::take(&mut self.parked),
+        )
     }
 }
 
@@ -311,21 +348,42 @@ mod tests {
 
     #[test]
     fn phase_barrier_aggregates_and_flips() {
-        let mut b: PhaseBarrier<2> = PhaseBarrier::new();
+        let mut b: PhaseBarrier<&str, 2> = PhaseBarrier::new();
         assert!(!b.parity());
         assert!(b.ready(1), "k = 1 needs no peer flushes");
+        // Current-stage messages come straight back; next-stage ones park.
+        assert_eq!(b.admit(0, 1, "now"), Some("now"));
+        assert_eq!(b.admit(1, 1, "early-a"), None);
+        assert_eq!(b.admit(1, 1, "early-b"), None);
+        b.contribute([10, 0]);
         b.absorb([3, 1]);
         assert!(!b.ready(3));
         b.absorb([4, 0]);
         assert!(b.ready(3));
-        assert_eq!(b.flip(), [7, 1]);
-        // Re-armed: counters cleared, parity flipped.
+        // Own contribution is summed in; parked messages return once, in
+        // arrival order.
+        assert_eq!(b.flip(), ([17, 1], vec!["early-a", "early-b"]));
+        // Re-armed: counters cleared, stage advanced, nothing parked.
         assert!(b.parity());
+        assert_eq!(b.stage(), 1);
         assert!(!b.ready(3));
+        assert_eq!(b.admit(1, 1, "now"), Some("now"));
         b.absorb([1, 1]);
         b.absorb([1, 1]);
-        assert_eq!(b.flip(), [2, 2]);
+        assert_eq!(b.flip(), ([2, 2], vec![]));
         assert!(!b.parity());
+        // A wider tag compares the full stage counter.
+        assert_eq!(b.admit(2, 3, "now"), Some("now"));
+        assert_eq!(b.admit(3, 3, "early"), None);
+        assert_eq!(b.flip(), ([0, 0], vec!["early"]));
+        assert_eq!(b.flip(), ([0, 0], vec![]));
+        // Debug builds reject a message two stages ahead.
+        if cfg!(debug_assertions) {
+            let drift = std::panic::catch_unwind(|| {
+                PhaseBarrier::<(), 0>::new().admit(2, 3, ());
+            });
+            assert!(drift.is_err(), "drift of 2 must trip the check");
+        }
     }
 
     #[test]

@@ -23,11 +23,6 @@
 //! `O~(m/k + Δ)` balance lemma into the existing
 //! [`partition::balance`](crate::partition::balance) diagnostics via
 //! [`DistGraph::edge_balance`].
-//!
-//! [`replicated_scan_reference`] preserves the pre-`DistGraph` ingestion
-//! pattern (per-machine `HashMap` vertex index + `Vec<Vec<_>>` adjacency,
-//! built machine by machine) as a measurable artifact so `perfsnap` and
-//! the `graph_dist` bench can keep reporting the fused-build speedup.
 
 use crate::csr::CsrGraph;
 use crate::digraph::DiGraph;
@@ -457,30 +452,6 @@ impl EdgeListAdjacency {
     }
 }
 
-/// The pre-`DistGraph` ingestion path, preserved as a measurable
-/// artifact: `k` independent member scans, each allocating a
-/// `HashMap` vertex index and a `Vec<Vec<_>>` adjacency — the pattern
-/// every algorithm crate used to hand-roll. Returns the total stored
-/// endpoints as an optimization barrier; `perfsnap` and the
-/// `graph_dist` bench time it against [`DistGraphBuilder::undirected`]
-/// on identical inputs.
-pub fn replicated_scan_reference(g: &CsrGraph, part: &Partition) -> usize {
-    use std::collections::HashMap;
-    assert_eq!(g.n(), part.n(), "partition size mismatch");
-    let mut total = 0usize;
-    for i in 0..part.k() {
-        let vertices: Vec<Vertex> = part.members(i).to_vec();
-        let index: HashMap<Vertex, usize> =
-            vertices.iter().enumerate().map(|(j, &v)| (v, j)).collect();
-        let adjacency: Vec<Vec<Vertex>> =
-            vertices.iter().map(|&v| g.neighbors(v).to_vec()).collect();
-        total += adjacency.iter().map(Vec::len).sum::<usize>();
-        std::hint::black_box(&index);
-        std::hint::black_box(&adjacency);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,13 +557,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_replicated_scans_store_the_same_endpoints() {
+    fn fused_build_stores_every_endpoint_once() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let g = gnp(120, 0.1, &mut rng);
         let part = Arc::new(Partition::by_hash(120, 16, 4));
         let d = DistGraphBuilder::new(&part).undirected(&g);
         let fused: usize = d.locals().iter().map(LocalGraph::edge_endpoints).sum();
-        assert_eq!(fused, replicated_scan_reference(&g, &part));
+        assert_eq!(fused, 2 * g.m());
+        assert_eq!(d.edge_loads().iter().sum::<usize>(), 2 * g.m());
     }
 
     #[test]

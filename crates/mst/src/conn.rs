@@ -37,11 +37,13 @@
 //!    `O~(n/k²)` round bound matching the GLBT lower bound
 //!    (`km_lower::bounds::mst_rounds`).
 //!
-//! Stages are separated by flush barriers ([`PhaseBarrier`]): links are
-//! FIFO, so `k − 1` flushes of the current parity guarantee all stage
-//! payloads have arrived. The `CC-UB` experiment and the `sketch_cc`
-//! perfsnap matrix measure the resulting `recv_bits` profile against
-//! both [`crate::BoruvkaMst`] and the `n/k²` prediction.
+//! Stages are separated by the workspace's one stage barrier,
+//! [`PhaseBarrier`]: links are FIFO, so `k − 1` flushes of the current
+//! parity guarantee all stage payloads have arrived, and the barrier
+//! parks messages that arrive one stage early until the flip. The
+//! `CC-UB` experiment and the `sketch_cc` perfsnap matrix measure the
+//! resulting `recv_bits` profile against both [`crate::BoruvkaMst`] and
+//! the `n/k²` prediction.
 
 use crate::sketch::{phase_seed, L0Sketch, SketchParams};
 use km_core::router::{phase_proxy_of, PhaseBarrier};
@@ -409,9 +411,8 @@ pub struct SketchConnectivity {
     closed: BTreeSet<Vertex>,
     stage: Stage,
     phase: u64,
-    barrier: PhaseBarrier<2>,
-    my_counts: [u64; 2],
-    pending: Vec<(MachineIdx, ConnMsg)>,
+    /// Stage barrier; parks early arrivals with their sender.
+    barrier: PhaseBarrier<(MachineIdx, ConnMsg), 2>,
     finished: bool,
     // ---- proxy-side state, cleared every phase ----
     slots: BTreeMap<Vertex, Slot>,
@@ -470,8 +471,6 @@ impl SketchConnectivity {
                 stage: Stage::Partials,
                 phase: 0,
                 barrier: PhaseBarrier::new(),
-                my_counts: [0, 0],
-                pending: Vec::new(),
                 finished: false,
                 slots: BTreeMap::new(),
                 label_queries: Vec::new(),
@@ -515,7 +514,7 @@ impl SketchConnectivity {
     /// Finishes a stage entry: records this machine's flush counters and
     /// broadcasts the barrier marker.
     fn flush(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>, counts: [u64; 2]) {
-        self.my_counts = counts;
+        self.barrier.contribute(counts);
         out.broadcast(
             ctx.me,
             ConnMsg::new(
@@ -828,9 +827,7 @@ impl SketchConnectivity {
     /// *cleared* slot table, not be wiped by `next_phase`.
     fn maybe_advance(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
         while !self.finished && self.barrier.ready(ctx.k) {
-            let agg = self.barrier.flip();
-            let totals = [agg[0] + self.my_counts[0], agg[1] + self.my_counts[1]];
-            self.my_counts = [0, 0];
+            let (totals, early) = self.barrier.flip();
             let next = match self.stage {
                 Stage::Partials => {
                     if totals[0] == 0 {
@@ -871,12 +868,7 @@ impl SketchConnectivity {
                 }
             };
             // Replay messages that arrived one stage early.
-            for (src, msg) in std::mem::take(&mut self.pending) {
-                debug_assert_eq!(
-                    msg.parity,
-                    self.barrier.parity(),
-                    "barrier drift exceeded 1"
-                );
+            for (src, msg) in early {
                 self.apply(ctx, src, msg);
             }
             match next {
@@ -906,10 +898,9 @@ impl Protocol for SketchConnectivity {
             self.enter_partials(ctx, out);
         } else {
             for env in inbox.drain(..) {
-                if env.msg.parity == self.barrier.parity() {
-                    self.apply(ctx, env.src, env.msg);
-                } else {
-                    self.pending.push((env.src, env.msg));
+                let tag = env.msg.parity.into();
+                if let Some((src, msg)) = self.barrier.admit(tag, 1, (env.src, env.msg)) {
+                    self.apply(ctx, src, msg);
                 }
             }
         }
@@ -934,6 +925,23 @@ pub struct ConnectivityOutput {
     pub phases: u64,
 }
 
+/// The output of both sketch-connectivity adapters: the union of the
+/// machines' forest edges (each recorded by exactly one machine), sorted.
+fn connectivity_output(machines: Vec<SketchConnectivity>) -> ConnectivityOutput {
+    let (n, phases) = (machines[0].n, machines[0].phases);
+    let mut forest: Vec<Edge> = machines.into_iter().flat_map(|m| m.forest).collect();
+    forest.sort_unstable();
+    debug_assert!(
+        forest.windows(2).all(|w| w[0] != w[1]),
+        "a forest edge was recorded twice"
+    );
+    ConnectivityOutput {
+        components: n - forest.len(),
+        forest,
+        phases,
+    }
+}
+
 /// Sketch connectivity as a [`KmAlgorithm`]: graph + partition in,
 /// spanning forest out.
 #[derive(Debug, Clone, Copy)]
@@ -954,18 +962,7 @@ impl KmAlgorithm for DistributedSketchConnectivity<'_> {
     }
 
     fn extract(&self, machines: Vec<SketchConnectivity>, _metrics: &Metrics) -> ConnectivityOutput {
-        let phases = machines[0].phases;
-        let mut forest: Vec<Edge> = machines.into_iter().flat_map(|m| m.forest).collect();
-        forest.sort_unstable();
-        debug_assert!(
-            forest.windows(2).all(|w| w[0] != w[1]),
-            "a forest edge was recorded twice"
-        );
-        ConnectivityOutput {
-            components: self.g.n() - forest.len(),
-            forest,
-            phases,
-        }
+        connectivity_output(machines)
     }
 }
 
@@ -1004,18 +1001,7 @@ impl KmAlgorithm for PrebuiltSketchConnectivity<'_> {
     }
 
     fn extract(&self, machines: Vec<SketchConnectivity>, _metrics: &Metrics) -> ConnectivityOutput {
-        let phases = machines[0].phases;
-        let mut forest: Vec<Edge> = machines.into_iter().flat_map(|m| m.forest).collect();
-        forest.sort_unstable();
-        debug_assert!(
-            forest.windows(2).all(|w| w[0] != w[1]),
-            "a forest edge was recorded twice"
-        );
-        ConnectivityOutput {
-            components: self.dist.locals()[0].global_n() - forest.len(),
-            forest,
-            phases,
-        }
+        connectivity_output(machines)
     }
 }
 

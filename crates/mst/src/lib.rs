@@ -42,6 +42,7 @@ pub use conn::{
 };
 
 use km_core::rng::keyed_hash;
+use km_core::router::PhaseBarrier;
 use km_core::{
     id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
     NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
@@ -276,11 +277,8 @@ pub struct BoruvkaMst {
     /// Chosen edges received this phase (applied at the scatter barrier).
     phase_chosen: Vec<(Edge, f64)>,
     half: Half,
-    parity: bool,
-    flushes: usize,
-    flush_produced: u64,
-    my_produced: u64,
-    pending: Vec<MstMsg>,
+    /// Stage barrier; its counter sums the candidates produced.
+    barrier: PhaseBarrier<MstMsg, 1>,
     finished: bool,
     /// The minimum spanning forest, accumulated identically on every
     /// machine from the choice broadcasts.
@@ -323,11 +321,7 @@ impl BoruvkaMst {
                 proxy_best: BTreeMap::new(),
                 phase_chosen: Vec::new(),
                 half: Half::Gather,
-                parity: false,
-                flushes: 0,
-                flush_produced: 0,
-                my_produced: 0,
-                pending: Vec::new(),
+                barrier: PhaseBarrier::new(),
                 finished: false,
                 forest: Vec::new(),
                 phases: 0,
@@ -357,7 +351,9 @@ impl BoruvkaMst {
                 }
             }
         }
-        self.my_produced = best.len() as u64;
+        let produced = best.len() as u64;
+        self.barrier.contribute([produced]);
+        let parity = self.barrier.parity();
         for (comp, cand) in best {
             let proxy =
                 (keyed_hash(ctx.shared_seed ^ 0x4D57_0001, comp as u64) % ctx.k as u64) as usize;
@@ -366,11 +362,11 @@ impl BoruvkaMst {
             } else {
                 out.send(
                     proxy,
-                    MstMsg::candidate(self.n, self.parity, comp, cand.e, cand.w),
+                    MstMsg::candidate(self.n, parity, comp, cand.e, cand.w),
                 );
             }
         }
-        out.broadcast(ctx.me, MstMsg::flush(self.parity, self.my_produced));
+        out.broadcast(ctx.me, MstMsg::flush(parity, produced));
         self.half = Half::Gather;
         self.phases += 1;
     }
@@ -387,11 +383,12 @@ impl BoruvkaMst {
     /// Scatter half: broadcast the per-component winners.
     fn scatter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>) {
         let winners = std::mem::take(&mut self.proxy_best);
+        let parity = self.barrier.parity();
         for (_, cand) in winners {
             self.phase_chosen.push((cand.e, cand.w));
-            out.broadcast(ctx.me, MstMsg::chosen(self.n, self.parity, cand.e, cand.w));
+            out.broadcast(ctx.me, MstMsg::chosen(self.n, parity, cand.e, cand.w));
         }
-        out.broadcast(ctx.me, MstMsg::flush(self.parity, 0));
+        out.broadcast(ctx.me, MstMsg::flush(parity, 0));
         self.half = Half::Scatter;
     }
 
@@ -418,15 +415,9 @@ impl BoruvkaMst {
     }
 
     fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>) {
-        while !self.finished && self.flushes == ctx.k - 1 {
-            let produced = self.flush_produced + self.my_produced;
-            self.flushes = 0;
-            self.flush_produced = 0;
-            self.my_produced = 0;
-            self.parity = !self.parity;
-            let pending = std::mem::take(&mut self.pending);
-            for msg in &pending {
-                debug_assert_eq!(msg.parity, self.parity, "barrier drift exceeded 1");
+        while !self.finished && self.barrier.ready(ctx.k) {
+            let ([produced], early) = self.barrier.flip();
+            for msg in &early {
                 self.apply(msg);
             }
             match self.half {
@@ -453,10 +444,7 @@ impl BoruvkaMst {
         match msg.payload {
             MstPayload::Candidate { comp, e, w } => self.absorb_candidate(comp, Cand { w, e }),
             MstPayload::Chosen { e, w } => self.phase_chosen.push((e, w)),
-            MstPayload::Flush { produced } => {
-                self.flushes += 1;
-                self.flush_produced += produced;
-            }
+            MstPayload::Flush { produced } => self.barrier.absorb([produced]),
         }
     }
 
@@ -485,10 +473,8 @@ impl Protocol for BoruvkaMst {
             };
         }
         for env in inbox.drain(..) {
-            if env.msg.parity == self.parity {
-                self.apply(&env.msg);
-            } else {
-                self.pending.push(env.msg);
+            if let Some(msg) = self.barrier.admit(env.msg.parity.into(), 1, env.msg) {
+                self.apply(&msg);
             }
         }
         self.maybe_advance(ctx, out);

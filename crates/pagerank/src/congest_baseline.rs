@@ -16,6 +16,7 @@
 
 use crate::kmachine::{binomial, LocalState, PrMsg, PrOutput, PrPayload};
 use crate::PrConfig;
+use km_core::router::PhaseBarrier;
 use km_core::{
     run_algorithm, Envelope, KmAlgorithm, Metrics, NetConfig, Outbox, Protocol, RoundCtx, Runner,
     Status,
@@ -29,11 +30,8 @@ use std::sync::Arc;
 pub struct CongestPageRank {
     st: LocalState,
     cfg: PrConfig,
-    parity: bool,
-    flushes_seen: usize,
-    flush_live: u64,
-    my_live: u64,
-    pending: Vec<PrMsg>,
+    /// Iteration barrier; its counter sums the surviving tokens.
+    barrier: PhaseBarrier<PrMsg, 1>,
     finished: bool,
     /// Iterations executed (diagnostics).
     pub iterations: u64,
@@ -47,11 +45,7 @@ impl CongestPageRank {
             .map(|st| CongestPageRank {
                 st,
                 cfg,
-                parity: false,
-                flushes_seen: 0,
-                flush_live: 0,
-                my_live: 0,
-                pending: Vec::new(),
+                barrier: PhaseBarrier::new(),
                 finished: false,
                 iterations: 0,
             })
@@ -77,10 +71,7 @@ impl CongestPageRank {
             PrPayload::Count { v, count } => self.st.arrive_at_vertex(v, count),
             // lint: allow(panic) — the CONGEST baseline protocol has no Heavy sender
             PrPayload::Heavy { .. } => unreachable!("baseline never sends Heavy"),
-            PrPayload::Flush { live } => {
-                self.flushes_seen += 1;
-                self.flush_live += live;
-            }
+            PrPayload::Flush { live } => self.barrier.absorb([live]),
         }
     }
 
@@ -88,6 +79,7 @@ impl CongestPageRank {
         let me = ctx.me;
         let n = self.st.g.global_n();
         let eps = self.cfg.reset_prob;
+        let parity = self.barrier.parity();
         let mut survivors_total = 0;
         let mut staged_local: Vec<(usize, u64)> = Vec::new();
 
@@ -120,7 +112,7 @@ impl CongestPageRank {
                     staged_local.push((lj, c));
                 } else {
                     // One message per (u, v) edge — no cross-vertex merge.
-                    out.send(home, PrMsg::count(n, self.parity, v, c));
+                    out.send(home, PrMsg::count(n, parity, v, c));
                 }
             }
         }
@@ -128,23 +120,19 @@ impl CongestPageRank {
             self.st.tokens[j] += c;
             self.st.visits[j] += c;
         }
-        self.my_live = survivors_total;
+        self.barrier.contribute([survivors_total]);
         self.iterations += 1;
-        out.broadcast(me, PrMsg::flush(self.parity, survivors_total));
+        out.broadcast(me, PrMsg::flush(parity, survivors_total));
     }
 
     fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>) {
-        while !self.finished && self.flushes_seen == ctx.k - 1 {
-            if self.flush_live + self.my_live == 0 {
+        while !self.finished && self.barrier.ready(ctx.k) {
+            let ([global_live], early) = self.barrier.flip();
+            if global_live == 0 {
                 self.finished = true;
                 return;
             }
-            self.parity = !self.parity;
-            self.flushes_seen = 0;
-            self.flush_live = 0;
-            self.my_live = 0;
-            let pending = std::mem::take(&mut self.pending);
-            for msg in &pending {
+            for msg in &early {
                 self.apply(msg);
             }
             self.step(ctx, out);
@@ -173,10 +161,8 @@ impl Protocol for CongestPageRank {
             };
         }
         for env in inbox.drain(..) {
-            if env.msg.parity == self.parity {
-                self.apply(&env.msg);
-            } else {
-                self.pending.push(env.msg);
+            if let Some(msg) = self.barrier.admit(env.msg.parity.into(), 1, env.msg) {
+                self.apply(&msg);
             }
         }
         self.maybe_advance(ctx, out);

@@ -20,17 +20,19 @@
 //! RVP the destination machines are already uniform, which is what the
 //! routing lemma needs.)
 //!
-//! **Synchronization.** Iterations are separated by a FIFO *flush
-//! barrier*: after its sends, each machine broadcasts a `Flush` carrying
-//! the number of tokens that survived its step. Since links are FIFO, a
-//! machine that has received flushes from everyone has received all of
-//! the iteration's data. The flush values also yield the exact global
-//! count of live tokens, so the protocol terminates precisely when no
-//! token survives anywhere — no iteration bound needs to be guessed.
-//! Machines can drift by at most one iteration, so a single parity bit
-//! per message disambiguates (proved in the module tests).
+//! **Synchronization.** Iterations are separated by the FIFO flush
+//! barrier [`PhaseBarrier`]: after its sends, each machine broadcasts a
+//! `Flush` carrying the number of tokens that survived its step. Since
+//! links are FIFO, a machine that has received flushes from everyone has
+//! received all of the iteration's data. The summed flush values are the
+//! exact global count of live tokens, so the protocol terminates
+//! precisely when no token survives anywhere — no iteration bound needs
+//! to be guessed. Machines drift by at most one iteration, so a single
+//! parity bit per message disambiguates; the barrier parks next-iteration
+//! arrivals until the flip.
 
 use crate::PrConfig;
+use km_core::router::PhaseBarrier;
 use km_core::{
     id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
     NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
@@ -276,11 +278,8 @@ pub struct KmPageRank {
     /// the paper uses `k`. `u64::MAX` disables the heavy path entirely —
     /// the ablation knob for the T4 design-choice experiment.
     heavy_threshold: u64,
-    parity: bool,
-    flushes_seen: usize,
-    flush_live: u64,
-    my_live: u64,
-    pending: Vec<PrMsg>,
+    /// Iteration barrier; its counter sums the surviving tokens.
+    barrier: PhaseBarrier<PrMsg, 1>,
     finished: bool,
     /// Iterations this machine has executed (for diagnostics).
     pub iterations: u64,
@@ -313,11 +312,7 @@ impl KmPageRank {
             st,
             cfg,
             heavy_threshold,
-            parity: false,
-            flushes_seen: 0,
-            flush_live: 0,
-            my_live: 0,
-            pending: Vec::new(),
+            barrier: PhaseBarrier::new(),
             finished: false,
             iterations: 0,
         }
@@ -357,20 +352,17 @@ impl KmPageRank {
         match msg.payload {
             PrPayload::Count { v, count } => self.st.arrive_at_vertex(v, count),
             PrPayload::Heavy { u, count } => self.st.arrive_from_heavy(rng, u, count),
-            PrPayload::Flush { live } => {
-                self.flushes_seen += 1;
-                self.flush_live += live;
-            }
+            PrPayload::Flush { live } => self.barrier.absorb([live]),
         }
     }
 
     /// Runs one iteration step: termination sampling, light α-aggregation,
     /// heavy β-distribution, then the flush broadcast.
     fn step(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>) {
-        let k = ctx.k;
         let me = ctx.me;
         let n = self.st.g.global_n();
         let eps = self.cfg.reset_prob;
+        let parity = self.barrier.parity();
         let mut survivors_total: u64 = 0;
         // α aggregated across all light vertices (BTreeMap: deterministic
         // emission order, required for replayable transcripts).
@@ -393,7 +385,6 @@ impl KmPageRank {
                 continue; // dangling vertex: survivors terminate too
             }
             survivors_total += live;
-            let _ = k;
             if live < self.heavy_threshold {
                 // Light: per-token uniform neighbor, aggregated into α.
                 for _ in 0..live {
@@ -434,7 +425,7 @@ impl KmPageRank {
                             staged_local.push((tj, 1));
                         }
                     } else {
-                        out.send(j_m, PrMsg::heavy(n, self.parity, u, c));
+                        out.send(j_m, PrMsg::heavy(n, parity, u, c));
                     }
                 }
             }
@@ -448,7 +439,7 @@ impl KmPageRank {
                 let j = self.st.g.local(v).expect("home(v) == me implies hosted");
                 staged_local.push((j, c));
             } else {
-                out.send(home, PrMsg::count(n, self.parity, v, c));
+                out.send(home, PrMsg::count(n, parity, v, c));
             }
         }
         for (j, c) in staged_local {
@@ -456,28 +447,21 @@ impl KmPageRank {
             self.st.visits[j] += c;
         }
 
-        self.my_live = survivors_total;
+        self.barrier.contribute([survivors_total]);
         self.iterations += 1;
-        let flush = PrMsg::flush(self.parity, survivors_total);
-        out.broadcast(me, flush);
+        out.broadcast(me, PrMsg::flush(parity, survivors_total));
     }
 
     /// If the barrier is complete, either terminate or advance one
     /// iteration (possibly several times if this machine lagged).
     fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>) {
-        while !self.finished && self.flushes_seen == ctx.k - 1 {
-            let global_live = self.flush_live + self.my_live;
+        while !self.finished && self.barrier.ready(ctx.k) {
+            let ([global_live], early) = self.barrier.flip();
             if global_live == 0 {
                 self.finished = true;
                 return;
             }
-            self.parity = !self.parity;
-            self.flushes_seen = 0;
-            self.flush_live = 0;
-            self.my_live = 0;
-            let pending = std::mem::take(&mut self.pending);
-            for msg in &pending {
-                debug_assert_eq!(msg.parity, self.parity, "parity drift exceeded 1");
+            for msg in &early {
                 self.apply(ctx.rng, msg);
             }
             self.step(ctx, out);
@@ -505,10 +489,8 @@ impl Protocol for KmPageRank {
             };
         }
         for env in inbox.drain(..) {
-            if env.msg.parity == self.parity {
-                self.apply(ctx.rng, &env.msg);
-            } else {
-                self.pending.push(env.msg);
+            if let Some(msg) = self.barrier.admit(env.msg.parity.into(), 1, env.msg) {
+                self.apply(ctx.rng, &msg);
             }
         }
         self.maybe_advance(ctx, out);
@@ -525,6 +507,18 @@ impl Protocol for KmPageRank {
 pub struct PrOutput {
     /// `(vertex, estimate)` pairs output by one machine.
     pub estimates: Vec<(Vertex, f64)>,
+}
+
+/// The output of both Algorithm 1 adapters: the PageRank vector indexed
+/// by vertex, assembled from every machine's hosted estimates.
+fn pagerank_output(machines: &[KmPageRank]) -> Vec<f64> {
+    let mut pr = vec![0.0; machines[0].st.g.global_n()];
+    for m in machines {
+        for (v, est) in m.output().estimates {
+            pr[v as usize] = est;
+        }
+    }
+    pr
 }
 
 /// Algorithm 1 as a [`KmAlgorithm`]: digraph + partition + `PrConfig`
@@ -567,13 +561,7 @@ impl KmAlgorithm for DistributedPageRank<'_> {
     }
 
     fn extract(&self, machines: Vec<KmPageRank>, _metrics: &Metrics) -> Vec<f64> {
-        let mut pr = vec![0.0; self.g.n()];
-        for m in &machines {
-            for (v, est) in m.output().estimates {
-                pr[v as usize] = est;
-            }
-        }
-        pr
+        pagerank_output(&machines)
     }
 }
 
@@ -620,14 +608,7 @@ impl KmAlgorithm for PrebuiltPageRank<'_> {
     }
 
     fn extract(&self, machines: Vec<KmPageRank>, _metrics: &Metrics) -> Vec<f64> {
-        let n = self.dist.locals()[0].global_n();
-        let mut pr = vec![0.0; n];
-        for m in &machines {
-            for (v, est) in m.output().estimates {
-                pr[v as usize] = est;
-            }
-        }
-        pr
+        pagerank_output(&machines)
     }
 }
 

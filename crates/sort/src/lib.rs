@@ -7,8 +7,8 @@
 //! lower bound that is *tight* — "there exists an `O~(n/k²)`-round
 //! sorting algorithm". This crate is that algorithm: a **sample sort**.
 //!
-//! Protocol phases (FIFO flush barriers between phases, as in the other
-//! protocols of this workspace):
+//! Protocol phases (FIFO flush barriers between phases, the workspace's
+//! one stage barrier `km_core::router::PhaseBarrier`):
 //!
 //! 0. every machine sorts locally (free) and sends `Θ(k log n)` uniform
 //!    samples to the coordinator;
@@ -25,6 +25,7 @@
 //! Keys must be distinct (random `u64` workloads are; duplicate handling
 //! would only add a tie-breaking tag).
 
+use km_core::router::PhaseBarrier;
 use km_core::{
     run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics, NetConfig,
     Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
@@ -57,8 +58,8 @@ pub enum SortKind {
     Flush,
 }
 
-/// A phase-tagged message (receivers buffer ahead-of-phase messages;
-/// the flush barrier bounds drift to one phase).
+/// A phase-tagged message (the receiver's [`PhaseBarrier`] parks
+/// ahead-of-phase messages; the flush barrier bounds drift to one phase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortMsg {
     /// The sender's phase when emitting.
@@ -150,9 +151,9 @@ pub struct SampleSort {
     bucket: Vec<u64>,
     counts: Vec<Option<u64>>,
     relay_buf: Vec<(usize, u64)>,
-    phase: u8,
-    flushes: usize,
-    pending: Vec<(usize, SortMsg)>,
+    /// Phase barrier; its stage counter is the current phase, and it
+    /// parks early arrivals with their sender.
+    barrier: PhaseBarrier<(usize, SortMsg), 0>,
     finished: bool,
     /// Final keys: exactly this machine's rank range, ascending.
     pub output: Vec<u64>,
@@ -182,9 +183,7 @@ impl SampleSort {
                     bucket: Vec::new(),
                     counts: vec![None; k],
                     relay_buf: Vec::new(),
-                    phase: 0,
-                    flushes: 0,
-                    pending: Vec::new(),
+                    barrier: PhaseBarrier::new(),
                     finished: false,
                     output: Vec::new(),
                 }
@@ -400,19 +399,17 @@ impl SampleSort {
             }
             SortKind::RelayKey { owner, key } => self.relay_buf.push((owner as usize, key)),
             SortKind::Count(c) => self.counts[src] = Some(c),
-            SortKind::Flush => self.flushes += 1,
+            SortKind::Flush => self.barrier.absorb([]),
         }
     }
 
     fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<SortMsg>) {
-        while !self.finished && self.flushes == ctx.k - 1 {
-            self.flushes = 0;
-            self.phase += 1;
-            let pending = std::mem::take(&mut self.pending);
-            for (src, msg) in &pending {
+        while !self.finished && self.barrier.ready(ctx.k) {
+            let ([], early) = self.barrier.flip();
+            for (src, msg) in &early {
                 self.apply(*src, msg);
             }
-            match self.phase {
+            match self.barrier.stage() {
                 1 => self.phase1(ctx, out),
                 2 => self.phase2(ctx, out),
                 3 => self.phase3(ctx, out),
@@ -448,10 +445,9 @@ impl Protocol for SampleSort {
             };
         }
         for env in inbox.drain(..) {
-            if env.msg.phase == self.phase {
-                self.apply(env.src, &env.msg);
-            } else {
-                self.pending.push((env.src, env.msg));
+            let tag = env.msg.phase.into(); // a 3-bit tag on the wire
+            if let Some((src, msg)) = self.barrier.admit(tag, 3, (env.src, env.msg)) {
+                self.apply(src, &msg);
             }
         }
         self.maybe_advance(ctx, out);

@@ -9,6 +9,7 @@
 //! why Corollary 2's "aggregate everything" strategies are wasteful.
 
 use km_core::rng::keyed_hash;
+use km_core::router::PhaseBarrier;
 use km_core::{
     id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
     NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
@@ -16,6 +17,7 @@ use km_core::{
 use km_graph::ids::Triangle;
 use km_graph::{CsrGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Broadcast-baseline message: an edge or a flush marker.
@@ -91,7 +93,8 @@ pub struct BroadcastTriangle {
     /// This machine's RVP input (hosted vertices + adjacency + partition).
     lg: LocalGraph,
     edges: BTreeSet<Edge>,
-    flushes: usize,
+    /// The single-stage barrier: nothing is ever parked.
+    barrier: PhaseBarrier<Infallible, 0>,
     finished: bool,
     /// Triangles owned (by hash) and enumerated by this machine.
     pub triangles: Vec<Triangle>,
@@ -110,7 +113,7 @@ impl BroadcastTriangle {
                 n,
                 lg,
                 edges: BTreeSet::new(),
-                flushes: 0,
+                barrier: PhaseBarrier::new(),
                 finished: false,
                 triangles: Vec::new(),
             })
@@ -165,10 +168,10 @@ impl Protocol for BroadcastTriangle {
                 BcastMsg::Edge { e, .. } => {
                     self.edges.insert(e);
                 }
-                BcastMsg::Flush => self.flushes += 1,
+                BcastMsg::Flush => self.barrier.absorb([]),
             }
         }
-        if !self.finished && self.flushes == ctx.k - 1 {
+        if !self.finished && self.barrier.ready(ctx.k) {
             self.enumerate(ctx);
             self.finished = true;
         }

@@ -22,8 +22,10 @@
 //! a shared coin) — this is what removes the `Δ/k` term from the runtime.
 //!
 //! Phases are separated by the same FIFO flush barrier as the PageRank
-//! protocol (drift ≤ 1 phase, messages carry their phase tag).
+//! protocol, [`PhaseBarrier`] (drift ≤ 1 phase, messages carry their
+//! phase tag, early arrivals are parked until the flip).
 
+use km_core::router::PhaseBarrier;
 use km_core::{
     id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
     NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
@@ -317,9 +319,8 @@ pub struct KmTriangle {
     proxy_edges: Vec<Edge>,
     /// Edges received for my triplet.
     recv_edges: BTreeSet<Edge>,
-    phase: u8,
-    flushes: usize,
-    pending: Vec<TriMsg>,
+    /// Phase barrier; its stage counter is the current phase.
+    barrier: PhaseBarrier<TriMsg, 0>,
     finished: bool,
     /// Triangles this machine enumerated (exactly the triangles whose
     /// color multiset equals this machine's triplet).
@@ -352,9 +353,7 @@ impl KmTriangle {
                 hd: BTreeSet::new(),
                 proxy_edges: Vec::new(),
                 recv_edges: BTreeSet::new(),
-                phase: 0,
-                flushes: 0,
-                pending: Vec::new(),
+                barrier: PhaseBarrier::new(),
                 finished: false,
                 triangles: Vec::new(),
                 open_triads: Vec::new(),
@@ -376,7 +375,7 @@ impl KmTriangle {
             TriPayload::ToMachine { e } => {
                 self.recv_edges.insert(e);
             }
-            TriPayload::Flush => self.flushes += 1,
+            TriPayload::Flush => self.barrier.absorb([]),
         }
     }
 
@@ -492,15 +491,12 @@ impl KmTriangle {
     }
 
     fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<TriMsg>) {
-        while !self.finished && self.flushes == ctx.k - 1 {
-            self.flushes = 0;
-            self.phase += 1;
-            let pending = std::mem::take(&mut self.pending);
-            for msg in &pending {
-                debug_assert_eq!(msg.phase, self.phase, "phase drift exceeded 1");
+        while !self.finished && self.barrier.ready(ctx.k) {
+            let ([], early) = self.barrier.flip();
+            for msg in &early {
                 self.apply(msg);
             }
-            match self.phase {
+            match self.barrier.stage() {
                 1 => self.phase1(ctx, out),
                 2 => self.phase2(ctx, out),
                 3 => {
@@ -533,10 +529,9 @@ impl Protocol for KmTriangle {
             };
         }
         for env in inbox.drain(..) {
-            if env.msg.phase == self.phase {
-                self.apply(&env.msg);
-            } else {
-                self.pending.push(env.msg);
+            let tag = env.msg.phase.into(); // a 2-bit tag on the wire
+            if let Some(msg) = self.barrier.admit(tag, 2, env.msg) {
+                self.apply(&msg);
             }
         }
         self.maybe_advance(ctx, out);
